@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race bench bench-smoke bench-json bench-compare docs-lint fuzz-smoke throughput examples algo-smoke hkd-smoke chaos-smoke cluster-smoke sdk-smoke obs-smoke
+.PHONY: build vet fmt test race bench bench-smoke bench-json bench-compare bench-ab docs-lint fuzz-smoke throughput examples algo-smoke hkd-smoke chaos-smoke cluster-smoke sdk-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,41 @@ bench-compare:
 		echo "== $(BASE) =="; grep ^Benchmark "$$tmp/old.txt"; \
 		echo "== working tree =="; grep ^Benchmark "$$tmp/new.txt"; \
 	fi
+
+# bench-ab compares BASE with the working tree on one workload of the
+# end-to-end benchmark (bench/), by bench/README.md's "Comparing two
+# commits" method. BASE is exported into a temporary directory and the
+# working tree's bench/ is copied over it, so both sides run the same
+# benchmark. Then PAIRS pairs of 25 s runs alternate which side goes
+# first, each pair on a fresh seed, and cmd/benchab prints every metric's
+# median, quartiles and win count for both sides. With AB_OUT set, the
+# raw one-line results are kept there as <workload>-{base,change}.jsonl.
+# Each run takes about 35 s once both sides are built, so the default ten
+# pairs take about 12 minutes. Usage:
+#   make bench-ab BASE=HEAD~1 WORKLOAD=elephants-b64 PAIRS=10
+WORKLOAD ?= elephants-b64
+PAIRS ?= 10
+AB_OUT ?=
+bench-ab:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	rm -rf "$$tmp/base/bench"; cp -R bench "$$tmp/base/bench"; \
+	for s in $$(seq 1 $(PAIRS)); do \
+		order="base change"; [ $$((s % 2)) = 0 ] && order="change base"; \
+		for side in $$order; do \
+			dir=.; [ $$side = base ] && dir="$$tmp/base"; \
+			echo "pair $$s of $(PAIRS): $$side, seed $$s"; \
+			line=$$(cd "$$dir" && bash bench/run.sh --workload $(WORKLOAD) --seed $$s \
+				--seconds 25 --trace 0 | tail -1) || true; \
+			echo "$${line:-no result}" >> "$$tmp/$$side.jsonl"; \
+		done; \
+	done; \
+	if [ -n "$(AB_OUT)" ]; then mkdir -p "$(AB_OUT)"; \
+		cp "$$tmp/base.jsonl" "$(AB_OUT)/$(WORKLOAD)-base.jsonl"; \
+		cp "$$tmp/change.jsonl" "$(AB_OUT)/$(WORKLOAD)-change.jsonl"; fi; \
+	echo "== $(WORKLOAD): $(BASE) (base) against the working tree (change), $(PAIRS) pairs"; \
+	$(GO) run ./cmd/benchab -spec BENCHMARK.json "$$tmp/base.jsonl" "$$tmp/change.jsonl"
 
 # docs-lint checks that relative links in README.md and doc/*.md resolve and
 # that fenced ```go snippets are gofmt-formatted (CI runs this target).
@@ -242,7 +277,8 @@ sdk-smoke:
 # target): boot hkd with the opt-in debug listener and debug-level logs,
 # point a one-node hkagg at it, ingest a trace, then assert that /metrics
 # exposes the latency histogram families with cumulative buckets
-# (+Inf == _count), that /stats carries the latency section, that the
+# (+Inf == _count) and the socket-read counter next to the byte counters,
+# that /stats carries the latency section and the read count, that the
 # pprof listener serves a goroutine profile, and that one collect's
 # X-Request-Id generated by hkagg appears in both tiers' logs — the
 # cross-process tracing contract.
@@ -280,9 +316,16 @@ obs-smoke:
 	awk '/^hkd_ingest_batch_seconds_bucket/ { v=$$NF+0; if (v < prev) { print "non-cumulative bucket: " $$0; bad=1 }; prev=v; inf=v } \
 		/^hkd_ingest_batch_seconds_count/ { if ($$NF+0 != inf) { print "+Inf bucket " inf " != _count " $$NF; bad=1 } } \
 		END { exit bad }' "$$tmp/metrics"; \
-	echo "== obs-smoke: /stats carries the latency section"; \
-	curl -fsS "http://$$http/stats" | grep -q '"latency"' || { \
+	echo "== obs-smoke: /metrics counts ingest socket reads"; \
+	grep -q '^# TYPE hkd_tcp_reads_total counter' "$$tmp/metrics" || { \
+		echo "missing counter family hkd_tcp_reads_total"; exit 1; }; \
+	awk '/^hkd_tcp_reads_total / { n=$$NF+0 } END { if (n <= 0) { print "hkd_tcp_reads_total is " n " after ingest"; exit 1 } }' "$$tmp/metrics"; \
+	echo "== obs-smoke: /stats carries the latency section and the read count"; \
+	curl -fsS "http://$$http/stats" > "$$tmp/stats"; \
+	grep -q '"latency"' "$$tmp/stats" || { \
 		echo "/stats lacks the latency section"; exit 1; }; \
+	grep -q '"tcp_reads"' "$$tmp/stats" || { \
+		echo "/stats lacks tcp_reads"; exit 1; }; \
 	echo "== obs-smoke: pprof listener serves a goroutine profile"; \
 	curl -fsS "http://$$debug/debug/pprof/goroutine?debug=1" > "$$tmp/goroutines"; \
 	grep -q goroutine "$$tmp/goroutines" || { \

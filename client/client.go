@@ -349,6 +349,7 @@ type ServerCounters struct {
 	UDPFrames       uint64 `json:"udp_frames"`
 	Records         uint64 `json:"records"`
 	TCPBytes        uint64 `json:"tcp_bytes"`
+	TCPReads        uint64 `json:"tcp_reads"`
 	UDPBytes        uint64 `json:"udp_bytes"`
 	DecodeErrors    uint64 `json:"decode_errors"`
 	TransportErrors uint64 `json:"transport_errors"`

@@ -354,6 +354,7 @@ type serverCounters struct {
 	UDPFrames       uint64 `json:"udp_frames"`
 	Records         uint64 `json:"records"`
 	TCPBytes        uint64 `json:"tcp_bytes"`
+	TCPReads        uint64 `json:"tcp_reads"`
 	UDPBytes        uint64 `json:"udp_bytes"`
 	DecodeErrors    uint64 `json:"decode_errors"`
 	TransportErrors uint64 `json:"transport_errors"`
@@ -394,6 +395,7 @@ func (s *Server) counterSnapshot() serverCounters {
 		UDPFrames:       s.ctr.udpFrames.Load(),
 		Records:         s.ctr.records.Load(),
 		TCPBytes:        s.ctr.tcpBytes.Load(),
+		TCPReads:        s.ctr.tcpReads.Load(),
 		UDPBytes:        s.ctr.udpBytes.Load(),
 		DecodeErrors:    s.ctr.decodeErrors.Load(),
 		TransportErrors: s.ctr.transportErrors.Load(),
@@ -525,6 +527,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		map[string]string{"transport": "tcp"}, float64(ctr.TCPBytes))
 	p.CounterLabeled("hkd_ingest_bytes_total", "Wire bytes ingested.",
 		map[string]string{"transport": "udp"}, float64(ctr.UDPBytes))
+	p.Counter("hkd_tcp_reads_total", "Socket reads on stream-ingest connections.", float64(ctr.TCPReads))
 	p.Counter("hkd_ingest_records_total", "Arrival records ingested.", float64(ctr.Records))
 	p.Counter("hkd_decode_errors_total", "Malformed frames or datagrams rejected.", float64(ctr.DecodeErrors))
 	p.Counter("hkd_transport_errors_total", "Ingest connections lost to resets, deadlines or force-close.", float64(ctr.TransportErrors))

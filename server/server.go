@@ -201,6 +201,7 @@ type counters struct {
 	udpFrames       atomic.Uint64
 	records         atomic.Uint64
 	tcpBytes        atomic.Uint64
+	tcpReads        atomic.Uint64
 	udpBytes        atomic.Uint64
 	decodeErrors    atomic.Uint64
 	transportErrors atomic.Uint64
@@ -247,7 +248,7 @@ type Server struct {
 	httpSv *http.Server
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
+	conns  map[*ingestConn]struct{}
 	closed bool
 
 	// Ingest backpressure: sem bounds concurrently-executing summarizer
@@ -430,7 +431,7 @@ func New(cfg Config) (*Server, error) {
 		snapLog:      obs.Component(base, "snapshot"),
 		tenantLog:    obs.Component(base, "tenant"),
 		obs:          sobs,
-		conns:        map[net.Conn]struct{}{},
+		conns:        map[*ingestConn]struct{}{},
 		sem:          make(chan struct{}, cfg.MaxInflight),
 		stopSnap:     make(chan struct{}),
 		stopMon:      make(chan struct{}),
@@ -548,15 +549,16 @@ func (s *Server) Degraded() bool { return s.degraded.Load() }
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
-		conn, err := s.tcpLn.Accept()
+		raw, err := s.tcpLn.Accept()
 		if err != nil {
 			return // listener closed by Shutdown
 		}
 		if s.cfg.MaxConns > 0 && s.ctr.connsActive.Load() >= int64(s.cfg.MaxConns) {
 			s.ctr.connsRejected.Add(1)
-			conn.Close()
+			raw.Close()
 			continue
 		}
+		conn := &ingestConn{Conn: raw}
 		if !s.track(conn) {
 			conn.Close()
 			return
@@ -568,8 +570,24 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// ingestConn is a tracked stream-ingest connection. Its Reader reads
+// ahead, so closing the socket alone would not stop the handler until the
+// frames already buffered had been applied; Close therefore also marks the
+// connection severed, and serveConn checks the mark once per frame.
+type ingestConn struct {
+	net.Conn
+	severed atomic.Bool
+}
+
+// Close severs the connection: the handler stops at the next frame
+// boundary, and the socket closes.
+func (c *ingestConn) Close() error {
+	c.severed.Store(true)
+	return c.Conn.Close()
+}
+
 // track registers conn for shutdown; reports false when shutting down.
-func (s *Server) track(conn net.Conn) bool {
+func (s *Server) track(conn *ingestConn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -579,7 +597,7 @@ func (s *Server) track(conn net.Conn) bool {
 	return true
 }
 
-func (s *Server) untrack(conn net.Conn) {
+func (s *Server) untrack(conn *ingestConn) {
 	s.mu.Lock()
 	delete(s.conns, conn)
 	s.mu.Unlock()
@@ -592,7 +610,9 @@ func (s *Server) untrack(conn net.Conn) {
 // — framing on a byte stream cannot resynchronize after corruption.
 // With IdleTimeout configured, a peer that delivers no complete frame
 // within the window is evicted, so slow or silent clients cannot pin
-// connection slots.
+// connection slots. A connection the server severs (Shutdown's
+// force-close) stops at the next frame boundary; a peer's clean close
+// still drains every frame the Reader buffered.
 //
 // Tenant binding: under authenticated mode the first frame must be a
 // hello carrying a valid tenant token; the connection is then bound to
@@ -601,13 +621,13 @@ func (s *Server) untrack(conn net.Conn) {
 // connection — tokens are capabilities scoped to exactly one
 // namespace). In open mode frames route by their own tenant id, with
 // unnamed and v1 frames landing in the default tenant.
-func (s *Server) serveConn(conn net.Conn) {
+func (s *Server) serveConn(conn *ingestConn) {
 	defer s.wg.Done()
 	defer s.ctr.connsActive.Add(-1)
 	defer s.untrack(conn)
 	defer conn.Close()
 	var bound *tenant
-	r := wire.NewReader(&countingReader{r: conn, n: &s.ctr.tcpBytes})
+	r := wire.NewReader(&countingReader{r: conn, bytes: &s.ctr.tcpBytes, reads: &s.ctr.tcpReads})
 	for {
 		if idle := s.cfg.IdleTimeout; idle > 0 {
 			conn.SetReadDeadline(time.Now().Add(idle))
@@ -637,6 +657,13 @@ func (s *Server) serveConn(conn net.Conn) {
 					s.log.Warn("ingest decode error", "remote", conn.RemoteAddr().String(), "err", err)
 				}
 			}
+			return
+		}
+		if conn.severed.Load() {
+			// Counted like the read error of a closed socket, so a severed
+			// connection adds one transport error however it ends.
+			s.ctr.transportErrors.Add(1)
+			s.log.Warn("ingest connection severed", "remote", conn.RemoteAddr().String())
 			return
 		}
 		if batch.IsHello() {
@@ -693,16 +720,18 @@ func isTransportError(err error) bool {
 		errors.Is(err, net.ErrClosed)
 }
 
-// countingReader feeds bytes drained from one connection into the
-// server-wide byte counter.
+// countingReader feeds the reads and bytes drained from one connection
+// into the server-wide counters.
 type countingReader struct {
-	r io.Reader
-	n *atomic.Uint64
+	r     io.Reader
+	bytes *atomic.Uint64
+	reads *atomic.Uint64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.n.Add(uint64(n))
+	c.reads.Add(1)
+	c.bytes.Add(uint64(n))
 	return n, err
 }
 
@@ -1027,7 +1056,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return httpErr
 }
 
-// closeListeners closes whichever listeners are open.
+// closeListeners closes whichever listeners are open. Once the HTTP
+// server is serving, it owns its listener and closes it in its own
+// Shutdown: closing it here as well would make that Shutdown fail with
+// "use of closed network connection" whenever Serve has not yet returned.
 func (s *Server) closeListeners() {
 	if s.tcpLn != nil {
 		s.tcpLn.Close()
@@ -1035,7 +1067,7 @@ func (s *Server) closeListeners() {
 	if s.udpLn != nil {
 		s.udpLn.Close()
 	}
-	if s.httpLn != nil {
+	if s.httpLn != nil && s.httpSv == nil {
 		s.httpLn.Close()
 	}
 }

@@ -288,10 +288,16 @@ func TestHTTPEndpoints(t *testing.T) {
 		`hkd_ingest_frames_total{transport="tcp"} 10`,
 		"hkd_engine_packets_total 1000",
 		"# TYPE hkd_store_index_occupied gauge",
+		"# TYPE hkd_tcp_reads_total counter",
 	} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	var st statsDoc
+	getJSON(t, srv.HTTPAddr(), "/stats", &st)
+	if st.Server.TCPReads == 0 || st.Server.TCPReads > 21 {
+		t.Errorf("/stats tcp_reads = %d for 10 frames, want 1..21", st.Server.TCPReads)
 	}
 
 	resp, err = http.Get("http://" + srv.HTTPAddr().String() + "/healthz")
@@ -393,6 +399,7 @@ func getBody(t *testing.T, addr net.Addr, path string) (int, string) {
 type statsDoc struct {
 	Server struct {
 		Records         uint64 `json:"records"`
+		TCPReads        uint64 `json:"tcp_reads"`
 		ConnsActive     int64  `json:"conns_active"`
 		ConnsRejected   uint64 `json:"conns_rejected"`
 		IdleEvictions   uint64 `json:"idle_evictions"`

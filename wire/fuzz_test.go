@@ -9,27 +9,35 @@ import (
 
 // FuzzWireDecode throws arbitrary byte streams at the frame decoder. The
 // contract under attack: decoding never panics, every failure matches
-// ErrCorrupt (or is a clean io.EOF between frames), and every frame the
-// decoder does accept re-encodes to semantically identical records.
+// ErrCorrupt (or is a clean io.EOF between frames), every frame the
+// decoder does accept re-encodes to semantically identical records, and
+// delivering the stream in pieces cut at fuzz-chosen lengths decodes the
+// same frames and ends in the same class of error as one whole read.
 func FuzzWireDecode(f *testing.F) {
 	seed, _ := AppendFrame(nil, [][]byte{[]byte("flow-a"), []byte("flow-b")}, nil)
-	f.Add(seed)
+	f.Add(seed, []byte{})
 	weighted, _ := AppendFrame(nil, [][]byte{[]byte("w")}, []uint64{1 << 33})
-	f.Add(weighted)
-	f.Add(append(seed, weighted...))
-	f.Add([]byte("HK"))
-	f.Add([]byte{})
+	f.Add(weighted, []byte{3})
+	f.Add(append(seed, weighted...), []byte{0, 9, 1})
+	f.Add([]byte("HK"), []byte{0})
+	f.Add([]byte{}, []byte{})
 	tenant, _ := AppendFrameTenant(nil, []byte("tenant-a"), [][]byte{[]byte("flow-a")}, nil)
-	f.Add(tenant)
+	f.Add(tenant, []byte{7, 2})
 	tenantW, _ := AppendFrameTenant(nil, []byte("b"), [][]byte{[]byte("w")}, []uint64{7})
-	f.Add(tenantW)
+	f.Add(tenantW, []byte{11})
 	defTenant, _ := AppendFrameTenant(nil, nil, [][]byte{[]byte("flow-a")}, nil)
-	f.Add(defTenant)
+	f.Add(defTenant, []byte{255})
 	hello, _ := AppendHello(nil, []byte("secret-token"))
-	f.Add(hello)
-	f.Add(append(append([]byte{}, hello...), tenant...))
+	f.Add(hello, []byte{1})
+	f.Add(append(append([]byte{}, hello...), tenant...), []byte{12, 0, 4})
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		wholeB, wholeErr := readAll(bytes.NewReader(data))
+		splitB, splitErr := readAll(&splitReader{data: data, cuts: cuts})
+		if err := sameDecode(splitB, splitErr, wholeB, wholeErr); err != nil {
+			t.Fatalf("split at %v: %v", cuts, err)
+		}
+
 		r := NewReader(bytes.NewReader(data))
 		for {
 			b, err := r.Next()

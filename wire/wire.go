@@ -54,7 +54,8 @@
 // Summarizer.AddBatch scratch wants, so a steady-state reader allocates
 // nothing per frame once its record slices have grown to the high-water
 // mark. Reader wraps an io.Reader (a TCP connection) with a reusable
-// frame buffer and hands out one Batch per call.
+// read-ahead buffer, decodes every whole frame one Read brought in
+// place, and hands out one Batch per call.
 //
 // Every malformed input — bad magic, unknown version or type, oversized
 // declaration, truncated or overrunning records, trailing garbage —
@@ -385,14 +386,26 @@ func AppendHello(dst []byte, token []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// readAhead is the size of a Reader's read-ahead buffer. One Read fills
+// as much of it as the source has ready, and every whole frame among
+// those bytes then decodes without another Read. A frame longer than
+// readAhead grows the buffer to fit it exactly; the buffer never shrinks.
+const readAhead = 64 << 10
+
 // Reader decodes a stream of frames from an io.Reader (typically a TCP
-// connection). It owns one payload buffer and one Batch, both reused
-// across frames, so steady-state reading does not allocate. A Reader is
-// not safe for concurrent use.
+// connection). It reads ahead into one buffer of readAhead bytes and
+// decodes frames from it in place, so a source holding many queued
+// frames costs one Read per buffer, not two per frame. The buffer and
+// the Batch are reused across frames, so steady-state reading does not
+// allocate. A Reader is not safe for concurrent use.
 type Reader struct {
-	r     io.Reader
-	buf   []byte
-	hdr   [HeaderLen]byte // reused so the header read never escapes per call
+	r   io.Reader
+	buf []byte // allocated on first use; buf[off:end] is read but not yet decoded
+	off int
+	end int
+	// err is the error the last Read returned alongside its data. It is
+	// reported once the frames buffered before it run out.
+	err   error
 	batch Batch
 }
 
@@ -401,34 +414,72 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: r}
 }
 
-// Next reads and decodes the next frame, returning its batch. The batch
-// (keys included) is valid only until the following Next call. At clean
-// end of stream (between frames) it returns io.EOF; a stream ending
-// inside a frame returns an ErrCorrupt-matching error wrapping
-// io.ErrUnexpectedEOF; any other malformed input returns its typed
-// ErrCorrupt cause.
+// Next decodes the next frame, reading from the source only when the
+// buffer holds no whole frame, and returns its batch. The batch (keys
+// included) aliases the read-ahead buffer and is valid only until the
+// following Next call. At clean end of stream (between frames) it
+// returns io.EOF, after every buffered frame; a stream ending inside a
+// frame returns an ErrCorrupt-matching error wrapping
+// io.ErrUnexpectedEOF; a failed Read returns an ErrCorrupt-matching
+// error wrapping the Read's error; any other malformed input returns its
+// typed ErrCorrupt cause.
 func (r *Reader) Next() (*Batch, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
+	if r.end-r.off < HeaderLen {
+		if err := r.fill(HeaderLen); err != nil {
+			if err == io.EOF && r.end == r.off {
+				return nil, io.EOF
+			}
+			return nil, readError("header", err)
 		}
-		return nil, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
 	}
-	h, err := ParseHeader(r.hdr)
+	h, err := ParseHeader([HeaderLen]byte(r.buf[r.off : r.off+HeaderLen]))
 	if err != nil {
 		return nil, err
 	}
-	if cap(r.buf) < int(h.Length) {
-		r.buf = make([]byte, h.Length)
+	n := HeaderLen + int(h.Length)
+	if r.end-r.off < n {
+		if err := r.fill(n); err != nil {
+			return nil, readError("payload", err)
+		}
 	}
-	r.buf = r.buf[:h.Length]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %w", ErrCorrupt, err)
-	}
-	if err := DecodePayload(h.Version, h.Type, r.buf, &r.batch); err != nil {
+	payload := r.buf[r.off+HeaderLen : r.off+n : r.off+n]
+	r.off += n
+	if err := DecodePayload(h.Version, h.Type, payload, &r.batch); err != nil {
 		return nil, err
 	}
 	return &r.batch, nil
+}
+
+// fill reads until at least n undecoded bytes are buffered. It first
+// moves the undecoded tail to the front of the buffer, growing the buffer
+// only when n exceeds it, so each Read gets all the room left.
+func (r *Reader) fill(n int) error {
+	if len(r.buf) < n {
+		buf := make([]byte, max(n, readAhead))
+		r.end = copy(buf, r.buf[r.off:r.end])
+		r.buf = buf
+	} else {
+		r.end = copy(r.buf, r.buf[r.off:r.end])
+	}
+	r.off = 0
+	for r.end < n {
+		if err := r.err; err != nil {
+			r.err = nil
+			return err
+		}
+		var m int
+		m, r.err = r.r.Read(r.buf[r.end:])
+		r.end += m
+	}
+	return nil
+}
+
+// readError wraps a failed or short read of part of a frame as corrupt.
+func readError(part string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: reading %s: %w", ErrCorrupt, part, err)
 }
 
 // DecodeDatagram parses one datagram holding exactly one frame (header

@@ -301,10 +301,13 @@ func TestTenantCorruptInputs(t *testing.T) {
 }
 
 func TestReaderReusesBuffers(t *testing.T) {
+	// 2000 frames of ~118 bytes span several read-ahead buffers, so the
+	// measured decodes include refills.
+	const frames = 2000
 	var stream []byte
 	var err error
 	keys := [][]byte{bytes.Repeat([]byte("k"), 100)}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < frames; i++ {
 		stream, err = AppendFrame(stream, keys, nil)
 		if err != nil {
 			t.Fatalf("AppendFrame: %v", err)
@@ -316,7 +319,7 @@ func TestReaderReusesBuffers(t *testing.T) {
 	if _, err := r.Next(); err != nil {
 		t.Fatalf("warmup Next: %v", err)
 	}
-	allocs := testing.AllocsPerRun(49, func() {
+	allocs := testing.AllocsPerRun(frames-1, func() {
 		if _, err := r.Next(); err != nil && err != io.EOF {
 			t.Fatalf("Next: %v", err)
 		}
@@ -328,7 +331,7 @@ func TestReaderReusesBuffers(t *testing.T) {
 	// The v2 (tenant) decode path holds the same invariant: the tenant is
 	// a payload subslice, never a copy.
 	stream = stream[:0]
-	for i := 0; i < 50; i++ {
+	for i := 0; i < frames; i++ {
 		stream, err = AppendFrameTenant(stream, []byte("tenant-a"), keys, nil)
 		if err != nil {
 			t.Fatalf("AppendFrameTenant: %v", err)
@@ -338,7 +341,7 @@ func TestReaderReusesBuffers(t *testing.T) {
 	if _, err := r.Next(); err != nil {
 		t.Fatalf("warmup Next: %v", err)
 	}
-	allocs = testing.AllocsPerRun(49, func() {
+	allocs = testing.AllocsPerRun(frames-1, func() {
 		if _, err := r.Next(); err != nil && err != io.EOF {
 			t.Fatalf("Next: %v", err)
 		}

@@ -163,8 +163,9 @@ func sharedIngestKeys() [][]byte {
 // benchIngest runs body via b.RunParallel with exactly g goroutines by
 // pinning GOMAXPROCS to g for the duration (RunParallel spawns GOMAXPROCS ×
 // parallelism goroutines). Each goroutine walks the shared key stream from
-// its own offset.
-func benchIngest(b *testing.B, g int, body func(pb *testing.PB, keys [][]byte)) {
+// its own offset. The timed region ends with a read of sum, which applies
+// whatever a Sharded still has queued, so handed-off work is counted.
+func benchIngest(b *testing.B, g int, sum heavykeeper.Summarizer, body func(pb *testing.PB, keys [][]byte)) {
 	b.Helper()
 	keys := sharedIngestKeys()
 	prev := runtime.GOMAXPROCS(g)
@@ -172,6 +173,7 @@ func benchIngest(b *testing.B, g int, body func(pb *testing.PB, keys [][]byte)) 
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) { body(pb, keys) })
+	sum.Stats()
 }
 
 func BenchmarkIngestConcurrentAdd(b *testing.B) {
@@ -181,7 +183,7 @@ func BenchmarkIngestConcurrentAdd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchIngest(b, g, func(pb *testing.PB, keys [][]byte) {
+			benchIngest(b, g, c, func(pb *testing.PB, keys [][]byte) {
 				i := 0
 				for pb.Next() {
 					c.Add(keys[i&(len(keys)-1)])
@@ -195,11 +197,11 @@ func BenchmarkIngestConcurrentAdd(b *testing.B) {
 func BenchmarkIngestShardedAdd(b *testing.B) {
 	for _, s := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("s=%d/g=%d", s, s), func(b *testing.B) {
-			sh, err := heavykeeper.NewSharded(100, heavykeeper.WithShards(s))
+			sh, err := heavykeeper.New(100, heavykeeper.WithShards(s))
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchIngest(b, s, func(pb *testing.PB, keys [][]byte) {
+			benchIngest(b, s, sh, func(pb *testing.PB, keys [][]byte) {
 				i := 0
 				for pb.Next() {
 					sh.Add(keys[i&(len(keys)-1)])
@@ -241,7 +243,7 @@ func BenchmarkIngestConcurrentAddBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchIngest(b, 8, batchedBody(c.AddBatch, bs))
+			benchIngest(b, 8, c, batchedBody(c.AddBatch, bs))
 		})
 	}
 }
@@ -250,14 +252,58 @@ func BenchmarkIngestShardedAddBatch(b *testing.B) {
 	for _, s := range []int{1, 4, 8} {
 		for _, bs := range []int{64, 256, 1024} {
 			b.Run(fmt.Sprintf("s=%d/g=%d/batch=%d", s, s, bs), func(b *testing.B) {
-				sh, err := heavykeeper.NewSharded(100, heavykeeper.WithShards(s))
+				sh, err := heavykeeper.New(100, heavykeeper.WithShards(s))
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchIngest(b, s, batchedBody(sh.AddBatch, bs))
+				benchIngest(b, s, sh, batchedBody(sh.AddBatch, bs))
 			})
 		}
 	}
+	// hkd's shape: two shards fed 256-key frames by one or two connection
+	// goroutines, at the GOMAXPROCS the binary runs with (-cpu), so the
+	// shard drainers have the same cores the producers have.
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("s=2/producers=%d/batch=256", p), func(b *testing.B) {
+			sh, err := heavykeeper.New(100, heavykeeper.WithShards(2))
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchProducers(b, p, sh, 256)
+		})
+	}
+}
+
+// benchProducers splits b.N packets across p goroutines, each feeding sh
+// bs-key batches from its own offset of the shared stream; the timed region
+// ends with a read of sh, so handed-off work is counted.
+func benchProducers(b *testing.B, p int, sh heavykeeper.Summarizer, bs int) {
+	b.Helper()
+	keys := sharedIngestKeys()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < p; g++ {
+		n := b.N / p
+		if g < b.N%p {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lo := g * len(keys) / p
+			for n > 0 {
+				m := min(bs, n, len(keys)-lo)
+				sh.AddBatch(keys[lo : lo+m])
+				n -= m
+				if lo += m; lo == len(keys) {
+					lo = 0
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sh.Stats()
 }
 
 // BenchmarkInsertPerPacket measures the end-to-end per-packet cost of the

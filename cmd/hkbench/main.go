@@ -318,28 +318,29 @@ func runThroughput(shards, batch int, scale float64, seed uint64, algo, store st
 	for _, c := range []struct {
 		name string
 		g    int
+		sum  heavykeeper.Summarizer
 		run  func(part [][]byte)
 	}{
-		{"TopK.Add (sequential)", 1, func(p [][]byte) {
+		{"TopK.Add (sequential)", 1, single, func(p [][]byte) {
 			for _, key := range p {
 				single.Add(key)
 			}
 		}},
-		{"TopK.AddBatch (sequential)", 1, func(p [][]byte) { drainBatches(p, batch, singleB.AddBatch) }},
-		{"Concurrent.Add", shards, func(p [][]byte) {
+		{"TopK.AddBatch (sequential)", 1, singleB, func(p [][]byte) { drainBatches(p, batch, singleB.AddBatch) }},
+		{"Concurrent.Add", shards, conc, func(p [][]byte) {
 			for _, key := range p {
 				conc.Add(key)
 			}
 		}},
-		{"Concurrent.AddBatch", shards, func(p [][]byte) { drainBatches(p, batch, concB.AddBatch) }},
-		{"Sharded.Add", shards, func(p [][]byte) {
+		{"Concurrent.AddBatch", shards, concB, func(p [][]byte) { drainBatches(p, batch, concB.AddBatch) }},
+		{"Sharded.Add", shards, shrd, func(p [][]byte) {
 			for _, key := range p {
 				shrd.Add(key)
 			}
 		}},
-		{"Sharded.AddBatch", shards, func(p [][]byte) { drainBatches(p, batch, shrdB.AddBatch) }},
+		{"Sharded.AddBatch", shards, shrdB, func(p [][]byte) { drainBatches(p, batch, shrdB.AddBatch) }},
 	} {
-		elapsed := timeParallel(keys, c.g, c.run)
+		elapsed := timeParallel(keys, c.g, c.sum, c.run)
 		mpps := float64(len(keys)) / elapsed.Seconds() / 1e6
 		if c.name == "Concurrent.Add" {
 			base = mpps
@@ -397,8 +398,10 @@ func indexReport(source string, st heavykeeper.StoreIndexStats) storeIndexReport
 }
 
 // timeParallel splits keys into g contiguous parts and runs fn on each from
-// its own goroutine, returning the wall time.
-func timeParallel(keys [][]byte, g int, fn func(part [][]byte)) time.Duration {
+// its own goroutine, returning the wall time up to a final read of sum. The
+// read applies whatever a Sharded still has queued for its shard drainers,
+// so handed-off work is timed too.
+func timeParallel(keys [][]byte, g int, sum heavykeeper.Summarizer, fn func(part [][]byte)) time.Duration {
 	var wg sync.WaitGroup
 	per := (len(keys) + g - 1) / g
 	start := time.Now()
@@ -418,6 +421,7 @@ func timeParallel(keys [][]byte, g int, fn func(part [][]byte)) time.Duration {
 		}(keys[lo:hi])
 	}
 	wg.Wait()
+	sum.Stats()
 	return time.Since(start)
 }
 

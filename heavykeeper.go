@@ -247,9 +247,8 @@ func WithExpansion(threshold uint64, maxArrays int) Option {
 	}
 }
 
-// WithShards makes New return a *Sharded with n per-core shards. Mutually
-// exclusive with WithConcurrency. (Under the deprecated NewSharded
-// constructor it sets the shard count, defaulting to GOMAXPROCS.)
+// WithShards makes New return a *Sharded with n shards. Mutually exclusive
+// with WithConcurrency.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 1 {

@@ -40,7 +40,7 @@ func TestOneHashPerPacket(t *testing.T) {
 
 	tk := heavykeeper.MustNew(100, heavykeeper.WithSeed(1))
 	conc, _ := heavykeeper.NewConcurrent(100, heavykeeper.WithSeed(1))
-	shrd := heavykeeper.MustNewSharded(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
+	shrd := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
 	// The store layer must ride on the packet's one hash too, whichever
 	// top-k structure backs it: the open-addressed Stream-Summary (default)
 	// and the open-addressed min-heap probe by the precomputed KeyHash.
@@ -97,7 +97,7 @@ func TestZeroAllocIngest(t *testing.T) {
 	ks := string(k)
 
 	tk := heavykeeper.MustNew(100, heavykeeper.WithSeed(1))
-	shrd := heavykeeper.MustNewSharded(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
+	shrd := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
 	conc, _ := heavykeeper.NewConcurrent(100, heavykeeper.WithSeed(1))
 	heap := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithMinHeap())
 	warm := func() {

@@ -90,7 +90,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.lock()
 		tr, err := trackerOf(sh.t)
 		if err == nil {
 			var wn int64
@@ -208,12 +208,8 @@ func readShardedSections(r io.Reader) (*Sharded, error) {
 	if shards == 0 || shards > maxSnapshotShards || k == 0 {
 		return nil, fmt.Errorf("%w: implausible shard header (%d shards, k %d)", ErrCorrupt, shards, k)
 	}
-	s := &Sharded{
-		shards:    make([]shard, shards),
-		shardSeed: shardSeed,
-		k:         int(k),
-	}
-	for i := range s.shards {
+	tops := make([]*TopK, shards)
+	for i := range tops {
 		t, err := readTopKSection(r)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -221,9 +217,9 @@ func readShardedSections(r io.Reader) (*Sharded, error) {
 		if t.k != int(k) {
 			return nil, fmt.Errorf("%w: shard %d has k %d, container says %d", ErrCorrupt, i, t.k, k)
 		}
-		s.shards[i].t = t
+		tops[i] = t
 	}
-	return s, nil
+	return newSharded(int(k), shardSeed, tops), nil
 }
 
 // configFromTrackerOptions reconstructs the frontend-level config a

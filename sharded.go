@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/hash"
 	"repro/internal/metrics"
@@ -17,14 +18,33 @@ import (
 // sketches derive internally from the same user seed.
 const shardSeedSalt = 0x9e3779b97f4a7c15
 
-// Sharded is the scale-out TopK: flows fan across N per-core TopK shards by
-// flow hash, so a flow always lands on the same shard and each shard is an
-// exact HeavyKeeper over its slice of the traffic — the software analogue of
-// the paper's Hardware Parallel version (§III-E), whose point is that
-// per-array work is independent and parallelizable. Each shard has its own
-// mutex, so the hot path scales with cores instead of serializing on one
-// lock the way Concurrent does, and AddBatch takes each shard lock once per
-// batch instead of once per packet.
+// Sharded is the scale-out TopK: flows fan across N TopK shards by flow
+// hash, so a flow always lands on the same shard and each shard is an exact
+// HeavyKeeper over its slice of the traffic — the software analogue of the
+// paper's Hardware Parallel version (§III-E), whose point is that per-array
+// work is independent and parallelizable. Each shard has its own mutex, so
+// writers to different shards never serialize the way they do on
+// Concurrent's single lock.
+//
+// With more than one shard, AddBatch is shard-affine. The caller routes each
+// key once, copies each shard's share of the batch into a recycled chunk,
+// queues the chunk on that shard's bounded inbox and returns without waiting.
+// One drainer goroutine per shard applies the queued chunks under the shard
+// lock, so each shard's sketch and store stay warm in one core's cache
+// instead of moving to whichever connection goroutine wrote last. A caller
+// that finds an inbox full applies the backlog itself, which is the
+// backpressure. Add, AddN and a one-shard AddBatch apply inline.
+//
+// A drainer runs only while its shard has queued chunks: the AddBatch that
+// queues onto an idle shard starts it, and it exits once it has caught up.
+// An idle Sharded owns no goroutines, so there is nothing to close.
+//
+// Every read — Query, List, All, Stats, MemoryBytes, StoreIndexStats,
+// WriteTo, and Merge on both sides — first applies whatever its shard still
+// has queued, so it reflects every Add, AddN and AddBatch that returned
+// before the read began. Add and AddN catch their shard up the same way
+// before applying, so each shard sees one producer's arrivals in stream
+// order and a single producer builds exactly the state per-packet Add would.
 //
 // Query routes to the owning shard and is as accurate as a single TopK over
 // that flow's packets. List merges the per-shard summaries into a global
@@ -41,49 +61,53 @@ type Sharded struct {
 	shards    []shard
 	shardSeed uint64
 	k         int
-	groups    sync.Pool // *batchGroups scratch for AddBatch grouping
+	scratch   sync.Pool // *pendingChunks for AddBatch routing
 }
 
-// batchGroups is the reusable AddBatch scratch: one key slice and one
-// parallel KeyHash slice per shard, so the router's single hash per key
-// rides along to the shard's batched sketch path.
-type batchGroups struct {
-	keys   [][][]byte
-	hashes [][]uint64
+// inboxDepth bounds each shard's queue of AddBatch chunks. hkd decodes a
+// whole 64 KiB read-ahead buffer per socket read, about 50 frames of 256
+// short ids, so a connection hands each shard its chunks in bursts of that
+// size. A shallow inbox overflows in every burst and the connection applies
+// the backlog itself: in short runs of hkd's two-connection, two-shard
+// workload, depths 16 and 32 ingested 3–9 % less than 64, while 40 was
+// within noise of 64 at five eighths of its memory.
+const inboxDepth = 40
+
+// maxRecycledChunk caps the bytes a recycled chunk keeps: a chunk that grew
+// past it for one outsized batch is dropped instead of pinning the memory in
+// the free list.
+const maxRecycledChunk = 64 << 10
+
+// chunk is one producer's share of one AddBatch for one shard: the key bytes
+// back to back, where each key ends, and each key's KeyHash, so the drainer
+// applies it through the batched sketch path without hashing again.
+type chunk struct {
+	arena  []byte
+	ends   []uint32
+	hashes []uint64
 }
 
-// shard pads each (mutex, TopK) pair to its own cache line so neighboring
-// shard locks don't false-share.
+// pendingChunks is AddBatch's per-call routing scratch: the chunk being
+// filled for each shard, nil until the first key routes there.
+type pendingChunks struct {
+	c []*chunk
+}
+
+// shard is one (mutex, TopK) pair with its inbox. The fields add up to one
+// 64-byte cache line on 64-bit platforms, so neighboring shard locks don't
+// false-share.
 type shard struct {
-	mu sync.Mutex
-	t  *TopK
-	_  [64 - 16]byte
+	mu      sync.Mutex
+	t       *TopK
+	inbox   chan *chunk  // queued AddBatch shares; popped only under mu
+	free    chan *chunk  // applied chunks, recycled by producers
+	pending atomic.Int64 // sends not yet covered by a drainer pass
+	keys    [][]byte     // key views of the chunk being applied; used under mu
 }
 
-// NewSharded returns a Sharded with the shard count from WithShards
-// (default: GOMAXPROCS at construction time).
-//
-// Deprecated: use New(k, WithShards(n), opts...). This wrapper remains for
-// compatibility (it still defaults the shard count to GOMAXPROCS when
-// WithShards is absent) and forwards to the same construction path.
-func NewSharded(k int, opts ...Option) (*Sharded, error) {
-	cfg, err := parseConfig(k, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.concurrent {
-		return nil, fmt.Errorf("%w: WithConcurrency under NewSharded", ErrOptionConflict)
-	}
-	return newShardedFromConfig(k, cfg)
-}
-
-// newShardedFromConfig builds a Sharded from a parsed config; a zero shard
-// count (possible only through the deprecated NewSharded) means GOMAXPROCS.
+// newShardedFromConfig builds a Sharded with cfg.shards shards.
 func newShardedFromConfig(k int, cfg config) (*Sharded, error) {
 	n := cfg.shards
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	shardCfg := cfg
 	if cfg.width == 0 {
 		budget := cfg.memoryBytes
@@ -95,30 +119,125 @@ func newShardedFromConfig(k int, cfg config) (*Sharded, error) {
 			shardCfg.memoryBytes = 1
 		}
 	}
-	s := &Sharded{
-		shards:    make([]shard, n),
-		shardSeed: xrand.NewSplitMix64(cfg.seed ^ shardSeedSalt).Next(),
-		k:         k,
-	}
-	for i := range s.shards {
+	tops := make([]*TopK, n)
+	for i := range tops {
 		t, err := newTopK(k, shardCfg)
 		if err != nil {
 			return nil, err
 		}
-		s.shards[i].t = t
+		tops[i] = t
 	}
-	return s, nil
+	return newSharded(k, xrand.NewSplitMix64(cfg.seed^shardSeedSalt).Next(), tops), nil
 }
 
-// MustNewSharded is NewSharded that panics on error, for tests and examples.
-//
-// Deprecated: use MustNew(k, WithShards(n), opts...).
-func MustNewSharded(k int, opts ...Option) *Sharded {
-	s, err := NewSharded(k, opts...)
-	if err != nil {
-		panic(err)
+// newSharded assembles a Sharded over tops, with an inbox per shard when
+// there is more than one.
+func newSharded(k int, shardSeed uint64, tops []*TopK) *Sharded {
+	s := &Sharded{shards: make([]shard, len(tops)), shardSeed: shardSeed, k: k}
+	for i, t := range tops {
+		s.shards[i].t = t
+	}
+	if len(tops) == 1 {
+		return s
+	}
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.inbox = make(chan *chunk, inboxDepth)
+		// The free list starts full: a full inbox's chunks plus eight for
+		// producers to fill meanwhile, so ingest recycles chunks instead
+		// of allocating them. Chunks cycle through it in FIFO order, so
+		// every one has been sized once that many batches have passed.
+		sh.free = make(chan *chunk, inboxDepth+8)
+		for range cap(sh.free) {
+			sh.free <- new(chunk)
+		}
 	}
 	return s
+}
+
+// drain is a shard's drainer, started by the send that raises pending from
+// zero. Each pass applies every chunk queued before it took the lock, which
+// covers the n sends counted when the pass began; the drainer exits when no
+// send has been counted since. At most one drainer per shard runs at a time,
+// since a new one starts only after the last one brought pending to zero.
+func (sh *shard) drain() {
+	for {
+		n := sh.pending.Load()
+		sh.mu.Lock()
+		sh.applyQueued()
+		sh.mu.Unlock()
+		if sh.pending.Add(-n) == 0 {
+			return
+		}
+		// Unlock queues a goroutine blocked in Lock to run next on this
+		// processor. A busy drainer never blocks, so without the yield that
+		// waiter — a read, typically — would wait until the scheduler
+		// preempts the drainer, about 10 ms later.
+		runtime.Gosched()
+	}
+}
+
+// lock takes the shard lock and applies every chunk still queued, so the
+// caller sees every AddBatch that returned before it. Chunks are popped only
+// under the lock, so none can be popped by someone else and not yet applied.
+func (sh *shard) lock() {
+	sh.mu.Lock()
+	sh.applyQueued()
+}
+
+// applyQueued applies the chunks queued when it starts, in FIFO order; mu
+// must be held. Chunks queued meanwhile belong to a later pass or read.
+func (sh *shard) applyQueued() {
+	for n := len(sh.inbox); n > 0; n-- {
+		sh.apply(<-sh.inbox)
+	}
+}
+
+// apply feeds c to the shard's TopK and recycles it; mu must be held.
+func (sh *shard) apply(c *chunk) {
+	keys := sh.keys[:0]
+	start := uint32(0)
+	for _, end := range c.ends {
+		keys = append(keys, c.arena[start:end:end])
+		start = end
+	}
+	sh.t.addBatchHashed(keys, c.hashes)
+	sh.keys = keys
+	if cap(c.arena)+4*cap(c.ends)+8*cap(c.hashes) > maxRecycledChunk {
+		return
+	}
+	c.arena, c.ends, c.hashes = c.arena[:0], c.ends[:0], c.hashes[:0]
+	select {
+	case sh.free <- c:
+	default:
+	}
+}
+
+// chunk returns an empty chunk, recycled when one is free.
+func (sh *shard) chunk() *chunk {
+	select {
+	case c := <-sh.free:
+		return c
+	default:
+		return new(chunk)
+	}
+}
+
+// send queues c for the drainer, starting one if the shard was idle. When the
+// inbox is full the caller applies the backlog and then c itself, which keeps
+// this producer's chunks in order.
+func (sh *shard) send(c *chunk) {
+	select {
+	case sh.inbox <- c:
+		if sh.pending.Add(1) == 1 {
+			go sh.drain()
+		}
+	default:
+		sh.lock()
+		sh.apply(c)
+		sh.mu.Unlock()
+		runtime.Gosched() // let a waiter run now; see drain
+	}
 }
 
 // shardFor returns the shard owning flowID plus the flow's KeyHash. All
@@ -134,7 +253,7 @@ func (s *Sharded) shardFor(flowID []byte) (*shard, uint64) {
 // Add records one occurrence of flowID on its owning shard.
 func (s *Sharded) Add(flowID []byte) {
 	sh, h := s.shardFor(flowID)
-	sh.mu.Lock()
+	sh.lock()
 	sh.t.addHashed(flowID, h)
 	sh.mu.Unlock()
 }
@@ -145,17 +264,19 @@ func (s *Sharded) AddString(flowID string) { s.Add(bytesOf(flowID)) }
 // AddN records a weight-n occurrence of flowID.
 func (s *Sharded) AddN(flowID []byte, n uint64) {
 	sh, h := s.shardFor(flowID)
-	sh.mu.Lock()
+	sh.lock()
 	sh.t.addNHashed(flowID, h, n)
 	sh.mu.Unlock()
 }
 
-// AddBatch records one occurrence of every flow identifier in flowIDs. The
-// batch is grouped by owning shard first, then each shard's lock is taken
-// once for its whole group and the group flows down the batched sketch path
-// (TopK.AddBatch), turning the per-packet lock into a per-batch lock.
-// Within a shard, identifiers are processed in stream order, so results
-// match per-packet Add exactly.
+// AddBatch records one occurrence of every flow identifier in flowIDs. Each
+// key is hashed once and routed to its owning shard. With one shard the
+// batch flows straight down the batched sketch path under the shard lock.
+// With more, each shard's share is copied into a chunk and queued for that
+// shard's drainer, and AddBatch returns without waiting; flowIDs may be
+// reused as soon as it returns. Within a shard one caller's identifiers are
+// applied in stream order, so a single producer's results match per-packet
+// Add exactly.
 func (s *Sharded) AddBatch(flowIDs [][]byte) {
 	n := len(s.shards)
 	if n == 1 {
@@ -165,31 +286,30 @@ func (s *Sharded) AddBatch(flowIDs [][]byte) {
 		sh.mu.Unlock()
 		return
 	}
-	var g *batchGroups
-	if got, ok := s.groups.Get().(*batchGroups); ok {
-		g = got
-	} else {
-		g = &batchGroups{keys: make([][][]byte, n), hashes: make([][]uint64, n)}
+	p, ok := s.scratch.Get().(*pendingChunks)
+	if !ok {
+		p = &pendingChunks{c: make([]*chunk, n)}
 	}
 	keyHash := s.shards[0].t.keyHash
 	for _, id := range flowIDs {
 		h := keyHash(id)
 		j := hash.Reduce(hash.Mix(s.shardSeed, h), uint64(n))
-		g.keys[j] = append(g.keys[j], id)
-		g.hashes[j] = append(g.hashes[j], h)
-	}
-	for j := range g.keys {
-		if len(g.keys[j]) == 0 {
-			continue
+		c := p.c[j]
+		if c == nil {
+			c = s.shards[j].chunk()
+			p.c[j] = c
 		}
-		sh := &s.shards[j]
-		sh.mu.Lock()
-		sh.t.addBatchHashed(g.keys[j], g.hashes[j])
-		sh.mu.Unlock()
-		g.keys[j] = g.keys[j][:0]
-		g.hashes[j] = g.hashes[j][:0]
+		c.arena = append(c.arena, id...)
+		c.ends = append(c.ends, uint32(len(c.arena)))
+		c.hashes = append(c.hashes, h)
 	}
-	s.groups.Put(g)
+	for j, c := range p.c {
+		if c != nil {
+			s.shards[j].send(c)
+			p.c[j] = nil
+		}
+	}
+	s.scratch.Put(p)
 }
 
 // Query returns the current size estimate for flowID from its owning shard;
@@ -197,7 +317,7 @@ func (s *Sharded) AddBatch(flowIDs [][]byte) {
 // seen all of the flow's packets.
 func (s *Sharded) Query(flowID []byte) uint64 {
 	sh, h := s.shardFor(flowID)
-	sh.mu.Lock()
+	sh.lock()
 	defer sh.mu.Unlock()
 	return sh.t.queryHashed(flowID, h)
 }
@@ -211,7 +331,7 @@ func (s *Sharded) List() []Flow {
 	var all []metrics.Entry
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.lock()
 		all = append(all, sh.t.topEntries()...)
 		sh.mu.Unlock()
 	}
@@ -259,8 +379,8 @@ func (s *Sharded) Merge(other Summarizer) error {
 	}
 	for i := range s.shards {
 		sh, oh := &s.shards[i], &o.shards[i]
-		first.shards[i].mu.Lock()
-		second.shards[i].mu.Lock()
+		first.shards[i].lock()
+		second.shards[i].lock()
 		err := sh.t.Merge(oh.t)
 		oh.mu.Unlock()
 		sh.mu.Unlock()
@@ -295,7 +415,7 @@ func (s *Sharded) MemoryBytes() int {
 	total := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.lock()
 		total += sh.t.MemoryBytes()
 		sh.mu.Unlock()
 	}
@@ -309,7 +429,7 @@ func (s *Sharded) StoreIndexStats() (StoreIndexStats, bool) {
 	var total StoreIndexStats
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.lock()
 		st, ok := sh.t.StoreIndexStats()
 		sh.mu.Unlock()
 		if !ok {
@@ -336,7 +456,7 @@ func (s *Sharded) Stats() Stats {
 	var total Stats
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.Lock()
+		sh.lock()
 		st := sh.t.Stats()
 		sh.mu.Unlock()
 		total.Packets += st.Packets

@@ -105,13 +105,14 @@ bench-ab:
 docs-lint:
 	$(GO) run ./cmd/doclint
 
-# fuzz-smoke gives the snapshot decoder, the open-addressed store index and
-# the ingest wire-frame decoder a short adversarial workout (CI runs this
-# target).
+# fuzz-smoke gives the snapshot decoder, the open-addressed store index,
+# the ingest wire-frame decoder and the report-frame decoder a short
+# adversarial workout (CI runs this target).
 fuzz-smoke:
 	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/streamsummary -run=NONE -fuzz=FuzzStoreEquivalence -fuzztime=10s
 	$(GO) test ./wire -run=NONE -fuzz=FuzzWireDecode -fuzztime=10s
+	$(GO) test ./wire -run=NONE -fuzz=FuzzReportDecode -fuzztime=10s
 	$(GO) test . -run=NONE -fuzz=FuzzSnapshotRead -fuzztime=10s
 
 throughput:
@@ -278,7 +279,8 @@ sdk-smoke:
 # point a one-node hkagg at it, ingest a trace, then assert that /metrics
 # exposes the latency histogram families with cumulative buckets
 # (+Inf == _count) and the socket-read counter next to the byte counters,
-# that /stats carries the latency section and the read count, that the
+# that /stats carries the latency section and the read count, that hkagg's
+# /metrics counts collected bytes and unchanged long-poll answers, that the
 # pprof listener serves a goroutine profile, and that one collect's
 # X-Request-Id generated by hkagg appears in both tiers' logs — the
 # cross-process tracing contract.
@@ -326,6 +328,20 @@ obs-smoke:
 		echo "/stats lacks the latency section"; exit 1; }; \
 	grep -q '"tcp_reads"' "$$tmp/stats" || { \
 		echo "/stats lacks tcp_reads"; exit 1; }; \
+	echo "== obs-smoke: hkagg /metrics counts collect bytes and unchanged long-polls"; \
+	agg=$$(grep '^http=' "$$tmp/aggaddr" | cut -d= -f2-); \
+	i=0; while :; do \
+		curl -fsS "http://$$agg/metrics" > "$$tmp/aggmetrics"; \
+		awk '/^hkagg_collects_unchanged_total/ { n+=$$NF } END { exit !(n > 0) }' "$$tmp/aggmetrics" && break; \
+		i=$$((i+1)); [ $$i -le 50 ] || { echo "hkagg never saw an unchanged long-poll answer"; exit 1; }; \
+		sleep 0.1; done; \
+	for fam in hkagg_collect_bytes_total hkagg_collects_unchanged_total; do \
+		grep -q "^# TYPE $$fam counter" "$$tmp/aggmetrics" || { \
+			echo "missing counter family $$fam"; exit 1; }; \
+	done; \
+	grep -q '^# TYPE hkagg_collect_seconds histogram' "$$tmp/aggmetrics" || { \
+		echo "missing histogram family hkagg_collect_seconds"; exit 1; }; \
+	awk '/^hkagg_collect_bytes_total/ { n+=$$NF } END { if (n <= 0) { print "hkagg_collect_bytes_total is " n; exit 1 } }' "$$tmp/aggmetrics"; \
 	echo "== obs-smoke: pprof listener serves a goroutine profile"; \
 	curl -fsS "http://$$debug/debug/pprof/goroutine?debug=1" > "$$tmp/goroutines"; \
 	grep -q goroutine "$$tmp/goroutines" || { \

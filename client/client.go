@@ -49,6 +49,7 @@ import (
 
 	heavykeeper "repro"
 	"repro/internal/obs"
+	"repro/wire"
 )
 
 // RequestIDHeader is the correlation header the SDK stamps on every
@@ -256,7 +257,8 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	c.log.Debug("request",
 		"request_id", id, "method", method, "path", path, "status", resp.StatusCode,
 		"duration_us", time.Since(start).Microseconds())
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	// 304 is a long-poll's "unchanged" answer (PollSnapshot), not a fault.
+	if (resp.StatusCode < 200 || resp.StatusCode > 299) && resp.StatusCode != http.StatusNotModified {
 		defer resp.Body.Close()
 		return nil, apiErrorFrom(resp)
 	}
@@ -455,20 +457,99 @@ func (c *Client) Healthz(ctx context.Context) (*Health, error) {
 // (heavykeeper.VerifySnapshot) before trusting a byte, completing the
 // end-to-end integrity check.
 func (c *Client) Snapshot(ctx context.Context, live bool) (data []byte, seq string, err error) {
+	p, err := c.PollSnapshot(ctx, SnapshotRequest{Live: live})
+	if err != nil {
+		return nil, "", err
+	}
+	return p.Data, p.Seq, nil
+}
+
+// SnapshotRequest selects what PollSnapshot asks GET /snapshot for.
+type SnapshotRequest struct {
+	// Live serializes current state instead of serving the newest
+	// on-disk generation.
+	Live bool
+	// Report asks for the top-k report frame (package wire) instead of
+	// the whole sketch.
+	Report bool
+	// After, when set, long-polls: the daemon answers once its state
+	// token differs from After, or reports Unchanged after Wait. Pass
+	// the Generation of the previous answer; leave it empty to fetch at
+	// once.
+	After string
+	// Wait bounds a long-poll on the daemon; 0 leaves the daemon's
+	// default (10s). Keep it inside the request's own deadline.
+	Wait time.Duration
+}
+
+// SnapshotPoll is one GET /snapshot answer.
+type SnapshotPoll struct {
+	// Unchanged reports that the state token still equals After; Data
+	// and Report are then empty.
+	Unchanged bool
+	// Generation is the answer's state token: pass it as After to wait
+	// for the next change. Daemons that predate long-polls send none.
+	Generation string
+	// Seq is the on-disk generation served ("" for live state).
+	Seq string
+	// Waited is how long the daemon parked the long-poll before
+	// answering: the part of the round trip spent waiting for a change.
+	Waited time.Duration
+	// Data is the raw body: a snapshot envelope, or a report frame.
+	Data []byte
+	// Report is the decoded, CRC-checked report frame when one was asked
+	// for and served. A daemon that predates reports (no Generation)
+	// answers a Report request with a snapshot envelope in Data instead.
+	Report *wire.Report
+}
+
+// PollSnapshot fetches the daemon's state as a snapshot envelope or a
+// report frame, optionally long-polling for the next change: the
+// collection call of the hkagg aggregator. A corrupt report frame is an
+// error; an envelope in Data is the caller's to verify.
+func (c *Client) PollSnapshot(ctx context.Context, req SnapshotRequest) (*SnapshotPoll, error) {
 	q := url.Values{}
-	if live {
+	if req.Live {
 		q.Set("live", "1")
+	}
+	if req.Report {
+		q.Set("report", "1")
+	}
+	if req.After != "" {
+		q.Set("after", req.After)
+		if req.Wait > 0 {
+			q.Set("wait", req.Wait.String())
+		}
 	}
 	resp, err := c.do(ctx, http.MethodGet, "/snapshot", q, nil)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
+	p := &SnapshotPoll{
+		Unchanged:  resp.StatusCode == http.StatusNotModified,
+		Generation: resp.Header.Get("X-Snapshot-Generation"),
+		Seq:        resp.Header.Get("X-Snapshot-Seq"),
 	}
-	return data, resp.Header.Get("X-Snapshot-Seq"), nil
+	if v := resp.Header.Get("X-Snapshot-Waited"); v != "" {
+		// A malformed value leaves Waited zero: it only refines the
+		// caller's latency accounting, never what was collected.
+		p.Waited, _ = time.ParseDuration(v)
+	}
+	if p.Unchanged {
+		return p, nil
+	}
+	if p.Data, err = io.ReadAll(resp.Body); err != nil {
+		return nil, err
+	}
+	if req.Report && p.Generation != "" {
+		r, err := wire.DecodeReport(p.Data)
+		if err != nil {
+			return nil, fmt.Errorf("client: report from %s: %w", c.base, err)
+		}
+		p.Report = &r
+	}
+	return p, nil
 }
 
 // Reconfig is the hot-reconfiguration request for POST /config; on an

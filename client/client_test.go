@@ -172,6 +172,20 @@ func TestSDKAgainstOpenServer(t *testing.T) {
 	if err := heavykeeper.VerifySnapshot(bytes.NewReader(snap)); err != nil {
 		t.Fatalf("VerifySnapshot: %v", err)
 	}
+
+	// The report form carries the same top-k as /topk, and a long-poll on
+	// its generation comes back unchanged while nothing is ingested.
+	p, err := c.PollSnapshot(ctx, client.SnapshotRequest{Live: true, Report: true})
+	if err != nil || p.Report == nil || p.Generation == "" {
+		t.Fatalf("PollSnapshot(report) = %+v, %v", p, err)
+	}
+	if p.Report.K != 20 || len(p.Report.Flows) != len(flows) || !bytes.Equal(p.Report.Flows[0].ID, flows[0].ID) {
+		t.Fatalf("report = k %d, %d flows; /topk has %d", p.Report.K, len(p.Report.Flows), len(flows))
+	}
+	idle, err := c.PollSnapshot(ctx, client.SnapshotRequest{Live: true, Report: true, After: p.Generation, Wait: 10 * time.Millisecond})
+	if err != nil || !idle.Unchanged || idle.Generation != p.Generation || idle.Data != nil || idle.Waited < 10*time.Millisecond {
+		t.Fatalf("idle PollSnapshot = %+v, %v", idle, err)
+	}
 }
 
 // TestTenantIsolation is the conformance suite for the multi-tenant

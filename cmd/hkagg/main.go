@@ -1,9 +1,10 @@
 // Command hkagg is the cluster aggregator: it maintains a member list of
-// hkd nodes, pulls their sketch state over the CRC-authenticated GET
-// /snapshot endpoint on a per-node collection loop (timeout, exponential
-// backoff with jitter, three-state health machine), and serves the global
-// top-k with failure-aware annotations — a coverage fraction and per-node
-// staleness — so callers can tell a complete answer from a degraded one.
+// hkd nodes, long-polls each one's CRC-authenticated GET /snapshot
+// endpoint for its next state change (top-k report frames under -policy
+// max, whole sketches under sum; timeout, exponential backoff with
+// jitter, three-state health machine), and serves the global top-k with
+// failure-aware annotations — a coverage fraction and per-node staleness
+// — so callers can tell a complete answer from a degraded one.
 //
 // Usage:
 //
@@ -48,8 +49,8 @@ func run() int {
 		nodesFlag  = flag.String("nodes", "", "comma-separated hkd members (host:port or http://host:port); required")
 		listenHTTP = flag.String("listen-http", ":8574", "global query/metrics API listen address")
 		policy     = flag.String("policy", "max", "fold policy: max (replicated ingest) or sum (partitioned ingest)")
-		interval   = flag.Duration("interval", cluster.DefaultInterval, "per-node collection cadence while healthy")
-		timeout    = flag.Duration("timeout", cluster.DefaultTimeout, "one snapshot fetch end to end")
+		interval   = flag.Duration("interval", cluster.DefaultInterval, "staleness bound: most time between a healthy node's collects (they follow its changes, at most 20 per interval)")
+		timeout    = flag.Duration("timeout", cluster.DefaultTimeout, "one collect end to end; long-polls park for at most half of it")
 		live       = flag.Bool("live", true, "request on-demand snapshots (?live=1) instead of newest on-disk generations")
 		seed       = flag.Uint64("seed", 31337, "backoff jitter seed")
 		addrFile   = flag.String("addr-file", "", "write the bound HTTP address to this file (for ephemeral ports)")

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	heavykeeper "repro"
@@ -80,12 +81,19 @@ type Config struct {
 	// raw same-seed sketches bucket by bucket via Merge, recovering flows
 	// spread too thin for any single node's report.
 	Policy collector.Policy
-	// Interval is the per-node collection cadence while healthy (default
-	// 2s). Failures back off exponentially from BackoffBase to BackoffMax
-	// with ±50% jitter instead.
+	// Interval bounds the time between a healthy node's collects (default
+	// 2s). Collection is event-driven: each collect long-polls the member
+	// for its next state change, parking at most min(Interval, Timeout/2)
+	// and never starting sooner than a twentieth of that after the
+	// previous collect began, so a busy member is collected at most 20
+	// times per bound and an idle one about once. Failures back off
+	// exponentially from BackoffBase to BackoffMax with ±50% jitter.
+	// Members that predate long-polls are collected once per Interval.
 	Interval time.Duration
-	// Timeout bounds one snapshot fetch end to end, connect through body
+	// Timeout bounds one collect end to end, connect through body
 	// (default 5s) — a stalled node must not wedge its collection loop.
+	// Long-polls park for at most half of it, so a quiet, healthy member
+	// never reaches it.
 	Timeout time.Duration
 	// BackoffBase/BackoffMax shape the failure backoff (defaults 100ms/5s).
 	BackoffBase time.Duration
@@ -96,9 +104,10 @@ type Config struct {
 	SuspectAfter int
 	DownAfter    int
 	RecoverAfter int
-	// Live requests ?live=1 snapshots (serialized on demand) instead of
-	// the node's newest on-disk generation. Fresh answers for a live
-	// cluster; leave false to observe exactly what would survive a crash.
+	// Live collects the member's current state (?live=1) instead of its
+	// newest on-disk generation. Fresh answers for a live cluster; leave
+	// false to observe exactly what would survive a crash. Either way the
+	// Max policy fetches top-k report frames and Sum whole sketches.
 	Live bool
 	// Seed parameterizes the backoff jitter (deterministic in tests).
 	Seed uint64
@@ -121,43 +130,69 @@ type Config struct {
 }
 
 // node is the aggregator's per-member record: identity, health machine
-// and the last-good snapshot it answers from while the member is away.
+// and the last-good state it answers from while the member is away.
 type node struct {
 	name string // as configured, the stable identity in stats and metrics
 	url  string // resolved base URL
 	api  *client.Client
-	lat  obs.Histogram // collect latency: fetch + CRC verification
+	lat  obs.Histogram // collect latency: fetch + verify + decode, long-poll wait excluded
 
 	mu          sync.Mutex
 	state       HealthState
 	consecFails int
 	consecOKs   int
-	lastGood    []byte    // newest verified snapshot envelope
-	lastFetch   time.Time // when lastGood was fetched
-	lastSeq     string    // X-Snapshot-Seq of lastGood, "" for live serves
-	collects    uint64    // successful fetches
-	failures    uint64    // failed fetches
+	data        *nodeData // newest verified state, decoded; nil before any
+	token       string    // member's state token for data: the next long-poll's after
+	lastFetch   time.Time // when data was last confirmed current
+	lastSeq     string    // X-Snapshot-Seq of data, "" for live serves
+	collects    uint64    // successful collects, unchanged answers included
+	unchanged   uint64    // collects the member answered "unchanged"
+	bytes       uint64    // response bytes collected
+	failures    uint64    // failed collects
 	transitions uint64    // health-state changes
 }
 
-// Aggregator maintains the member list, collects snapshots on a per-node
-// loop, and folds the last-good set into the global top-k on demand. It
-// is the collector of the paper's footnote-2 deployment, hardened for
-// partial failure: a dead member costs staleness and coverage, never an
-// error, and the HTTP tier (Handler) annotates every answer with both so
-// callers can tell a degraded global answer from a complete one.
+// nodeData is one member's last-good state, decoded once when collected:
+// its top-k report and k under Max, its sketch under Sum.
+type nodeData struct {
+	k      int
+	report []metrics.Entry
+	body   []byte                 // Sum: the verified snapshot envelope
+	sketch heavykeeper.Summarizer // Sum: body, decoded
+}
+
+// Aggregator maintains the member list, collects member state on a
+// per-node loop, and folds the last-good set into the global top-k on
+// demand. It is the collector of the paper's footnote-2 deployment,
+// hardened for partial failure: a dead member costs staleness and
+// coverage, never an error, and the HTTP tier (Handler) annotates every
+// answer with both so callers can tell a degraded global answer from a
+// complete one.
 type Aggregator struct {
 	cfg     Config
 	nodes   []*node
 	log     *slog.Logger // component=cluster
 	started time.Time
 
-	stop chan struct{}
-	done sync.WaitGroup
+	// pollWait bounds one long-poll; spacing is the least time between
+	// the starts of one node's collects (pollWait/20).
+	pollWait time.Duration
+	spacing  time.Duration
 
-	// foldMu serializes folds; folds decode O(sketch) bytes, so concurrent
-	// /topk storms should share one result rather than decode in parallel.
-	foldMu sync.Mutex
+	ctx    context.Context // the loops' collects; cancelled by Stop
+	cancel context.CancelFunc
+	done   sync.WaitGroup
+
+	// changes counts collects that replaced some node's data; the cached
+	// fold is current while folded equals it.
+	changes atomic.Uint64
+
+	// foldMu serializes folds and guards the cached result, so a /topk
+	// storm between two collects shares one fold.
+	foldMu  sync.Mutex
+	fold    []heavykeeper.Flow
+	folded  uint64
+	hasFold bool
 }
 
 // New validates cfg and returns an Aggregator. Start launches collection.
@@ -204,11 +239,16 @@ func New(cfg Config) (*Aggregator, error) {
 	if base == nil {
 		base = obs.LogfLogger(cfg.Logf) // discards when Logf is nil too
 	}
+	pollWait := min(cfg.Interval, cfg.Timeout/2)
+	ctx, cancel := context.WithCancel(context.Background())
 	a := &Aggregator{
-		cfg:     cfg,
-		log:     obs.Component(base, "cluster"),
-		started: time.Now(),
-		stop:    make(chan struct{}),
+		cfg:      cfg,
+		log:      obs.Component(base, "cluster"),
+		started:  time.Now(),
+		pollWait: pollWait,
+		spacing:  pollWait / 20,
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	seen := map[string]struct{}{}
 	for _, raw := range cfg.Nodes {
@@ -249,37 +289,56 @@ func (a *Aggregator) Start() {
 	}
 }
 
-// Stop terminates the collection loops and waits for them to exit. The
-// last-good state remains queryable after Stop.
+// Stop terminates the collection loops, cutting short any parked
+// long-poll, and waits for them to exit. The last-good state remains
+// queryable after Stop.
 func (a *Aggregator) Stop() {
-	close(a.stop)
+	a.cancel()
 	a.done.Wait()
 }
 
-// collectLoop drives one node: fetch, apply the health machine, sleep
-// Interval while healthy or an exponentially backed-off, jittered delay
-// while failing, until Stop.
+// collectLoop drives one node until Stop: a first fetch at once, then
+// long-polls for each next change, at least spacing apart; after a
+// failure, an exponentially backed-off, jittered delay instead.
 func (a *Aggregator) collectLoop(n *node, rng *xrand.SplitMix64) {
 	defer a.done.Done()
+	poll := false
 	for {
-		err := a.collectOnce(n)
-		delay := a.nextDelay(n, rng, err)
-		select {
-		case <-a.stop:
+		start := time.Now()
+		err := a.collectOnce(a.ctx, n, poll)
+		if a.ctx.Err() != nil {
 			return
-		case <-time.After(delay):
+		}
+		poll = true
+		next := start.Add(a.spacing)
+		switch {
+		case err != nil:
+			next = time.Now().Add(a.nextDelay(n, rng))
+		case !n.longPolls():
+			next = start.Add(a.cfg.Interval)
+		}
+		if d := time.Until(next); d > 0 {
+			select {
+			case <-a.ctx.Done():
+				return
+			case <-time.After(d):
+			}
 		}
 	}
 }
 
-// nextDelay picks the sleep before n's next fetch: the steady cadence
-// after a success, exponential backoff with ±50% jitter after a failure
-// (so a dead node isn't hammered, and restarts aren't greeted by every
-// aggregator loop at once).
-func (a *Aggregator) nextDelay(n *node, rng *xrand.SplitMix64, lastErr error) time.Duration {
-	if lastErr == nil {
-		return a.cfg.Interval
-	}
+// longPolls reports whether n's member answers long-polls: it sent a
+// state token with its last state.
+func (n *node) longPolls() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.token != ""
+}
+
+// nextDelay picks the sleep before n's next fetch after a failure:
+// exponential backoff with ±50% jitter (so a dead node isn't hammered,
+// and restarts aren't greeted by every aggregator loop at once).
+func (a *Aggregator) nextDelay(n *node, rng *xrand.SplitMix64) time.Duration {
 	n.mu.Lock()
 	fails := n.consecFails
 	n.mu.Unlock()
@@ -296,49 +355,95 @@ func (a *Aggregator) nextDelay(n *node, rng *xrand.SplitMix64, lastErr error) ti
 
 // CollectNow fetches from every node once, concurrently, and returns when
 // all fetches have settled — the deterministic collection step tests and
-// the smoke harness use instead of waiting out the cadence. It runs the
-// same fetch+health path as the background loops.
+// the smoke harness use instead of waiting for the loops. It runs the
+// same fetch+health path as the background loops, without long-polling.
 func (a *Aggregator) CollectNow() {
 	var wg sync.WaitGroup
 	for _, n := range a.nodes {
 		wg.Add(1)
 		go func(n *node) {
 			defer wg.Done()
-			a.collectOnce(n)
+			a.collectOnce(context.Background(), n, false)
 		}(n)
 	}
 	wg.Wait()
 }
 
-// collectOnce fetches one snapshot from n, verifies the CRC envelope end
-// to end before trusting a byte, and feeds the outcome to the health
-// machine. The fetched bytes replace n's last-good snapshot only after
-// verification — a torn serve can never overwrite good state.
+// collectOnce fetches n's state, verifies it end to end before trusting
+// a byte (the report frame's CRC, or the snapshot envelope's), decodes
+// it once, and feeds the outcome to the health machine. With poll set,
+// the fetch long-polls on the state token of n's last-good data and may
+// come back "unchanged", which confirms that data as current. Fetched
+// state replaces n's last-good only after verification — a torn serve
+// can never overwrite good state.
 //
 // Each collect carries its own request ID: the SDK stamps it as
 // X-Request-Id on the fan-out fetch and the hkd member access-logs it,
 // so one logical collection is greppable across both processes.
-func (a *Aggregator) collectOnce(n *node) error {
+func (a *Aggregator) collectOnce(parent context.Context, n *node, poll bool) error {
 	reqID := obs.NewRequestID()
-	ctx, cancel := context.WithTimeout(context.Background(), a.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(parent, a.cfg.Timeout)
 	defer cancel()
 	ctx = obs.WithRequestID(ctx, reqID)
+	req := client.SnapshotRequest{Live: a.cfg.Live, Report: a.cfg.Policy == collector.Max}
+	if poll {
+		n.mu.Lock()
+		req.After = n.token
+		n.mu.Unlock()
+		req.Wait = a.pollWait
+	}
 	start := time.Now()
-	body, seq, err := n.api.Snapshot(ctx, a.cfg.Live)
-	if err == nil {
-		if verr := heavykeeper.VerifySnapshot(bytes.NewReader(body)); verr != nil {
-			err = fmt.Errorf("snapshot failed verification: %w", verr)
-		}
+	p, err := n.api.PollSnapshot(ctx, req)
+	var data *nodeData
+	if err == nil && !p.Unchanged {
+		data, err = a.decode(p)
 	}
 	d := time.Since(start)
-	n.lat.Observe(d)
 	if err != nil {
+		if parent.Err() != nil {
+			return err // Stop cut the poll short: not the member's failure
+		}
+		n.lat.Observe(d)
 		a.log.Debug("collect failed", "request_id", reqID, "node", n.name, "duration_us", d.Microseconds(), "err", err)
 		return a.recordFailure(n, err)
 	}
-	a.log.Debug("collect", "request_id", reqID, "node", n.name, "duration_us", d.Microseconds(), "seq", seq, "bytes", len(body))
-	a.recordSuccess(n, body, seq)
+	d -= p.Waited
+	if !p.Unchanged {
+		n.lat.Observe(d)
+	}
+	a.log.Debug("collect", "request_id", reqID, "node", n.name, "duration_us", d.Microseconds(),
+		"seq", p.Seq, "generation", p.Generation, "unchanged", p.Unchanged, "bytes", len(p.Data))
+	a.recordSuccess(n, data, p)
 	return nil
+}
+
+// decode verifies and decodes one fetched state. Under Max it keeps only
+// the top-k report, whether the member sent a report frame or (predating
+// them) a whole snapshot.
+func (a *Aggregator) decode(p *client.SnapshotPoll) (*nodeData, error) {
+	if p.Report != nil {
+		return reportData(p.Report.K, p.Report.Flows), nil
+	}
+	if err := heavykeeper.VerifySnapshot(bytes.NewReader(p.Data)); err != nil {
+		return nil, fmt.Errorf("snapshot failed verification: %w", err)
+	}
+	s, err := heavykeeper.ReadSnapshot(bytes.NewReader(p.Data))
+	if err != nil {
+		return nil, fmt.Errorf("decoding snapshot: %w", err)
+	}
+	if a.cfg.Policy == collector.Max {
+		return reportData(s.K(), s.List()), nil
+	}
+	return &nodeData{body: p.Data, sketch: s}, nil
+}
+
+// reportData keeps a member's top-k in the form the Max fold consumes.
+func reportData(k int, flows []heavykeeper.Flow) *nodeData {
+	rep := make([]metrics.Entry, len(flows))
+	for i, f := range flows {
+		rep[i] = metrics.Entry{Key: string(f.ID), Count: f.Count}
+	}
+	return &nodeData{k: k, report: rep}
 }
 
 // recordFailure advances the health machine on a failed fetch.
@@ -368,18 +473,26 @@ func (a *Aggregator) recordFailure(n *node, err error) error {
 	return err
 }
 
-// recordSuccess stores the verified snapshot and advances the health
-// machine on a successful fetch. Down demotes only to Suspect — a node
-// must string RecoverAfter successes together before it counts toward
-// coverage again (hysteresis against a flapping member).
-func (a *Aggregator) recordSuccess(n *node, body []byte, seq string) {
+// recordSuccess stores newly collected state (data nil: the member
+// answered "unchanged") and advances the health machine on a successful
+// collect. Down demotes only to Suspect — a node must string
+// RecoverAfter successes together before it counts toward coverage again
+// (hysteresis against a flapping member).
+func (a *Aggregator) recordSuccess(n *node, data *nodeData, p *client.SnapshotPoll) {
 	n.mu.Lock()
 	n.collects++
+	n.bytes += uint64(len(p.Data))
 	n.consecFails = 0
 	n.consecOKs++
-	n.lastGood = body
 	n.lastFetch = time.Now()
-	n.lastSeq = seq
+	if data == nil {
+		n.unchanged++
+	} else {
+		n.data = data
+		n.token = p.Generation
+		n.lastSeq = p.Seq
+		a.changes.Add(1)
+	}
 	prev := n.state
 	switch n.state {
 	case Down:
@@ -408,6 +521,8 @@ type NodeStatus struct {
 	StalenessSeconds float64 `json:"staleness_seconds"` // age of last-good data; -1 before any
 	SnapshotSeq      string  `json:"snapshot_seq,omitempty"`
 	Collects         uint64  `json:"collects"`
+	Unchanged        uint64  `json:"unchanged"`     // collects answered "unchanged"
+	CollectBytes     uint64  `json:"collect_bytes"` // response bytes collected
 	Failures         uint64  `json:"failures"`
 	Transitions      uint64  `json:"transitions"`
 	HasData          bool    `json:"has_data"`
@@ -428,9 +543,11 @@ func (a *Aggregator) Status() (nodes []NodeStatus, coverage float64) {
 			StalenessSeconds: -1,
 			SnapshotSeq:      n.lastSeq,
 			Collects:         n.collects,
+			Unchanged:        n.unchanged,
+			CollectBytes:     n.bytes,
 			Failures:         n.failures,
 			Transitions:      n.transitions,
-			HasData:          n.lastGood != nil,
+			HasData:          n.data != nil,
 		}
 		if !n.lastFetch.IsZero() {
 			st.StalenessSeconds = now.Sub(n.lastFetch).Seconds()
@@ -444,62 +561,59 @@ func (a *Aggregator) Status() (nodes []NodeStatus, coverage float64) {
 	return nodes, float64(healthy) / float64(len(a.nodes))
 }
 
-// GlobalTopK folds every member's last-good snapshot into the global
+// GlobalTopK folds every member's last-good state into the global
 // top-k. Members without any data yet contribute nothing (and are visible
-// as HasData=false in Status); a fold over zero snapshots returns an
-// empty report, not an error — the degraded-answer contract is that the
-// caller learns about gaps from coverage and staleness, never from a
-// refusal to answer.
+// as HasData=false in Status); a fold over zero members returns an empty
+// report, not an error — the degraded-answer contract is that the caller
+// learns about gaps from coverage and staleness, never from a refusal to
+// answer. The fold is cached: calls between two collects that change
+// nothing share one result.
 func (a *Aggregator) GlobalTopK() ([]heavykeeper.Flow, error) {
 	a.foldMu.Lock()
 	defer a.foldMu.Unlock()
-	// Snapshot the byte slices under each node lock; decode outside.
-	var bodies [][]byte
+	// Read the change count before the data it covers: a collect racing
+	// this fold leaves the cache one change behind, never ahead.
+	v := a.changes.Load()
+	if !a.hasFold || a.folded != v {
+		flows, err := a.refold()
+		if err != nil {
+			return nil, err
+		}
+		a.fold, a.folded, a.hasFold = flows, v, true
+	}
+	return append([]heavykeeper.Flow(nil), a.fold...), nil
+}
+
+// refold folds the nodes' current last-good data.
+func (a *Aggregator) refold() ([]heavykeeper.Flow, error) {
+	var data []*nodeData
 	for _, n := range a.nodes {
 		n.mu.Lock()
-		if n.lastGood != nil {
-			bodies = append(bodies, n.lastGood)
+		if n.data != nil {
+			data = append(data, n.data)
 		}
 		n.mu.Unlock()
 	}
-	if len(bodies) == 0 {
+	if len(data) == 0 {
 		return nil, nil
 	}
-	sums := make([]heavykeeper.Summarizer, 0, len(bodies))
-	for _, b := range bodies {
-		s, err := heavykeeper.ReadSnapshot(bytes.NewReader(b))
-		if err != nil {
-			// Can't happen for bytes that passed VerifySnapshot + a CRC
-			// over the container; surface it rather than silently drop.
-			return nil, fmt.Errorf("cluster: decoding stored snapshot: %w", err)
-		}
-		sums = append(sums, s)
+	if a.cfg.Policy == collector.Max {
+		return foldMax(data)
 	}
-	switch a.cfg.Policy {
-	case collector.Max:
-		return foldMax(sums)
-	default:
-		return foldSum(sums)
-	}
+	return foldSum(data)
 }
 
-// foldMax folds replica summaries: every packet of a flow reached each
+// foldMax folds replica reports: every packet of a flow reached each
 // replica that owns it, so candidate counts are duplicates and the
 // per-flow maximum reconstructs the true count. Exact whenever at least
 // one replica per flow survives, which is precisely the ring's guarantee
 // under single-node loss.
-func foldMax(sums []heavykeeper.Summarizer) ([]heavykeeper.Flow, error) {
+func foldMax(data []*nodeData) ([]heavykeeper.Flow, error) {
 	k := 0
-	reports := make([][]metrics.Entry, 0, len(sums))
-	for _, s := range sums {
-		if s.K() > k {
-			k = s.K()
-		}
-		var rep []metrics.Entry
-		for _, f := range s.List() {
-			rep = append(rep, metrics.Entry{Key: string(f.ID), Count: f.Count})
-		}
-		reports = append(reports, rep)
+	reports := make([][]metrics.Entry, len(data))
+	for i, d := range data {
+		k = max(k, d.k)
+		reports[i] = d.report
 	}
 	merged, err := collector.MergeReports(k, collector.Max, reports...)
 	if err != nil {
@@ -513,12 +627,18 @@ func foldMax(sums []heavykeeper.Summarizer) ([]heavykeeper.Flow, error) {
 }
 
 // foldSum folds partition sketches bucket by bucket via the public Merge
-// path. The first decoded summarizer is a throwaway copy, so mutating it
-// as the accumulator is safe.
-func foldSum(sums []heavykeeper.Summarizer) ([]heavykeeper.Flow, error) {
-	acc := sums[0]
-	for _, s := range sums[1:] {
-		if err := acc.Merge(s); err != nil {
+// path. The cached sketches must stay as collected, so the accumulator
+// is a fresh decode of the first member's snapshot, and the others merge
+// into it.
+func foldSum(data []*nodeData) ([]heavykeeper.Flow, error) {
+	acc, err := heavykeeper.ReadSnapshot(bytes.NewReader(data[0].body))
+	if err != nil {
+		// Can't happen for bytes that verified and decoded at collect
+		// time; surface it rather than silently drop.
+		return nil, fmt.Errorf("cluster: decoding stored snapshot: %w", err)
+	}
+	for _, d := range data[1:] {
+		if err := acc.Merge(d.sketch); err != nil {
 			return nil, fmt.Errorf("cluster: folding snapshots: %w", err)
 		}
 	}

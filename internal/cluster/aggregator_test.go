@@ -369,6 +369,8 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 		"hkagg_collect_failures_total",
 		"hkagg_staleness_seconds",
 		"hkagg_coverage 0.5",
+		"hkagg_collect_bytes_total",
+		"hkagg_collects_unchanged_total",
 	} {
 		if !strings.Contains(body, series) {
 			t.Errorf("/metrics missing %q", series)

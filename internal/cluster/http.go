@@ -176,7 +176,9 @@ func (a *Aggregator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Gauge("hkagg_coverage", "Healthy members / total members; < 1 means degraded answers.", st.Coverage)
 	for _, n := range st.Nodes {
 		labels := map[string]string{"node": n.Name}
-		p.CounterLabeled("hkagg_collects_total", "Successful snapshot collections.", labels, float64(n.Collects))
+		p.CounterLabeled("hkagg_collects_total", "Successful collections, unchanged answers included.", labels, float64(n.Collects))
+		p.CounterLabeled("hkagg_collects_unchanged_total", "Long-polls the member answered unchanged.", labels, float64(n.Unchanged))
+		p.CounterLabeled("hkagg_collect_bytes_total", "Response bytes collected: report frames or snapshots.", labels, float64(n.CollectBytes))
 		p.CounterLabeled("hkagg_collect_failures_total", "Failed snapshot collections.", labels, float64(n.Failures))
 		p.CounterLabeled("hkagg_health_transitions_total", "Health-machine state changes.", labels, float64(n.Transitions))
 		p.GaugeLabeled("hkagg_staleness_seconds", "Age of the member's last-good snapshot (-1 before any).", labels, n.StalenessSeconds)
@@ -192,7 +194,7 @@ func (a *Aggregator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	bounds := obs.PromBounds()
 	for _, n := range a.nodes {
 		sn := n.lat.Snapshot()
-		p.Histogram("hkagg_collect_seconds", "Per-node snapshot collect latency (fetch + CRC verify).",
+		p.Histogram("hkagg_collect_seconds", "Per-node collect latency (fetch + CRC verify + decode), long-poll wait excluded.",
 			map[string]string{"node": n.name}, bounds, sn.PromCumulative(), sn.SumSeconds(), sn.Count)
 	}
 	w.Header().Set("Content-Type", metrics.ContentType)

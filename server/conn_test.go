@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -203,8 +204,37 @@ func TestShutdownReturnsNil(t *testing.T) {
 			t.Fatalf("run %d: GET /healthz: %v", i, err)
 		}
 		resp.Body.Close()
+		// Every tenth run parks a long-poll first: Shutdown must answer it
+		// at once rather than wait out its minute.
+		var polled chan error
+		if i%10 == 0 {
+			polled = make(chan error, 1)
+			g := srv.reg.def.gen.load()
+			go func() {
+				resp, err := client.Get(fmt.Sprintf("http://%s/snapshot?live=1&wait=1m&after=%d", srv.HTTPAddr(), g))
+				if err == nil {
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusNotModified {
+						err = fmt.Errorf("parked poll answered %d, want 304", resp.StatusCode)
+					}
+				}
+				polled <- err
+			}()
+			for srv.reg.def.gen.waiters.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		start := time.Now()
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Fatalf("run %d: Shutdown: %v", i, err)
+		}
+		if polled != nil {
+			if err := <-polled; err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("run %d: Shutdown with a parked long-poll took %v", i, d)
+			}
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	heavykeeper "repro"
 	"repro/internal/metrics"
+	"repro/wire"
 )
 
 // StatsSchemaVersion is the schema_version stamped into the /stats and
@@ -201,7 +202,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	t.touch()
+	t.touch(time.Now())
 	sum := t.summarizer()
 	n := sum.K()
 	if q := r.URL.Query().Get("n"); q != "" {
@@ -228,7 +229,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	t.touch()
+	t.touch(time.Now())
 	q := r.URL.Query()
 	var key []byte
 	switch {
@@ -259,52 +260,91 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // into memory and serves that instead. The reader re-verifies the CRC
 // chain on its side; together the two checks authenticate the transfer
 // end to end.
+//
+// ?report=1 serves the same state as a wire report frame instead: the
+// top-k only, generation and k, CRC-framed (package wire).
+//
+// Every answer carries X-Snapshot-Generation, the state token of its
+// source: the tenant's live generation, or the newest written generation
+// seq when serving from disk. ?after=G long-polls on it: the request
+// parks until the token differs from G (differs, not exceeds, so a
+// restarted daemon answers at once), then serves as above. After ?wait
+// (a Go duration, default 10s, at most 1m), at Shutdown, or when the
+// client goes away, it answers 304 Not Modified with no body instead.
+// A long-poll's answer carries X-Snapshot-Waited, the time it parked (a
+// Go duration), so the caller can tell waiting from serving.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.requestTenant(w, r)
 	if !ok {
 		return
 	}
-	t.touch()
-	live := r.URL.Query().Get("live") != ""
+	t.touch(time.Now())
+	q := r.URL.Query()
 	// On-disk generations hold only the default tenant's state; any other
 	// tenant is always serialized live.
-	if t != s.reg.def {
-		live = true
+	disk := s.snap != nil && q.Get("live") == "" && t == s.reg.def
+	state := t.gen
+	if disk {
+		state = s.snap.written
 	}
-	if s.snap != nil && !live {
+	// Read the token before the state it labels: a change racing the
+	// serve then shows as a newer token on the next poll, never as a
+	// stale answer under a current token.
+	token := state.load()
+	if a := q.Get("after"); a != "" {
+		after, err := strconv.ParseUint(a, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "bad_request", "after must be a generation number")
+			return
+		}
+		wait := defaultPollWait
+		if v := q.Get("wait"); v != "" {
+			if wait, err = time.ParseDuration(v); err != nil || wait < 0 {
+				writeError(w, http.StatusBadRequest, "bad_request", "wait must be a non-negative duration")
+				return
+			}
+			wait = min(wait, maxPollWait)
+		}
+		parked := time.Now()
+		token = state.wait(after, wait, r.Context().Done(), s.closing)
+		w.Header().Set("X-Snapshot-Waited", time.Since(parked).String())
+		if token == after {
+			w.Header().Set(generationHeader, strconv.FormatUint(after, 10))
+			w.WriteHeader(http.StatusNotModified)
+			s.ctr.snapshotUnchanged.Add(1)
+			return
+		}
+	}
+	w.Header().Set(generationHeader, strconv.FormatUint(token, 10))
+	var sum heavykeeper.Summarizer
+	if disk {
 		verifyStart := time.Now()
 		gen, err := s.snap.newestIntact()
 		s.obs.snapVerify.Observe(time.Since(verifyStart))
 		if err == nil {
-			f, err := os.Open(gen.path)
-			if err == nil {
-				defer f.Close()
-				if fi, err := f.Stat(); err == nil {
-					w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
-				}
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set("X-Snapshot-Source", "generation")
-				w.Header().Set("X-Snapshot-Seq", strconv.FormatUint(gen.seq, 10))
-				if _, err := io.Copy(w, f); err != nil {
-					// Client gone or disk fault mid-stream; the truncated
-					// body fails the reader's CRC check.
-					s.ctr.snapshotServeEr.Add(1)
+			if q.Get("report") == "" {
+				if s.serveGeneration(w, gen) {
 					return
 				}
-				s.ctr.snapshotServes.Add(1)
-				return
+			} else if sum, err = readSnapshotFile(gen.path); err == nil {
+				w.Header().Set("X-Snapshot-Source", "generation")
+				w.Header().Set("X-Snapshot-Seq", strconv.FormatUint(gen.seq, 10))
 			}
 		}
-		// No intact generation: fall through to a live serialization.
+		// No intact generation: fall through to the live state.
 	}
-	sw, ok := t.summarizer().(heavykeeper.SnapshotWriter)
-	if !ok {
-		s.ctr.snapshotServeEr.Add(1)
-		writeError(w, http.StatusNotImplemented, "not_implemented", "summarizer has no snapshot format")
-		return
+	if sum == nil {
+		sum = t.summarizer()
+		w.Header().Set("X-Snapshot-Source", "live")
 	}
-	var buf bytes.Buffer
-	if _, err := heavykeeper.WriteSnapshot(&buf, sw); err != nil {
+	var buf []byte
+	var err error
+	if q.Get("report") != "" {
+		buf, err = wire.AppendReport(nil, wire.Report{Generation: token, K: sum.K(), Flows: sum.List()})
+	} else {
+		buf, err = liveSnapshot(sum)
+	}
+	if err != nil {
 		s.ctr.snapshotServeEr.Add(1)
 		if errors.Is(err, heavykeeper.ErrSnapshotUnsupported) {
 			writeError(w, http.StatusNotImplemented, "not_implemented", "summarizer has no snapshot format")
@@ -313,14 +353,55 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", "snapshot serialization failed")
 		return
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Snapshot-Source", "live")
-	if _, err := buf.WriteTo(w); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		s.ctr.snapshotServeEr.Add(1)
 		return
 	}
 	s.ctr.snapshotServes.Add(1)
+}
+
+// generationHeader carries a GET /snapshot answer's state token, the
+// value to pass as ?after to wait for the next change.
+const generationHeader = "X-Snapshot-Generation"
+
+// serveGeneration streams one verified on-disk generation file. It
+// reports false, having written nothing, when the file is gone (pruned
+// since verification), so the caller can serve live state instead.
+func (s *Server) serveGeneration(w http.ResponseWriter, gen generation) bool {
+	f, err := os.Open(gen.path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil {
+		w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Snapshot-Source", "generation")
+	w.Header().Set("X-Snapshot-Seq", strconv.FormatUint(gen.seq, 10))
+	if _, err := io.Copy(w, f); err != nil {
+		// Client gone or disk fault mid-stream; the truncated body fails
+		// the reader's CRC check.
+		s.ctr.snapshotServeEr.Add(1)
+		return true
+	}
+	s.ctr.snapshotServes.Add(1)
+	return true
+}
+
+// liveSnapshot serializes sum into a checksummed snapshot envelope.
+func liveSnapshot(sum heavykeeper.Summarizer) ([]byte, error) {
+	sw, ok := sum.(heavykeeper.SnapshotWriter)
+	if !ok {
+		return nil, heavykeeper.ErrSnapshotUnsupported
+	}
+	var buf bytes.Buffer
+	if _, err := heavykeeper.WriteSnapshot(&buf, sw); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // statsResponse is the /stats document: engine event counters for the
@@ -566,6 +647,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	p.Counter("hkd_snapshot_errors_total", "Snapshot attempts that failed.", float64(ctr.SnapshotErrors))
 	p.Counter("hkd_snapshot_serves_total", "GET /snapshot responses streamed successfully.", float64(ctr.SnapshotServes))
 	p.Counter("hkd_snapshot_serve_errors_total", "GET /snapshot requests that failed.", float64(ctr.SnapshotServeEr))
+	p.Counter("hkd_snapshot_unchanged_total", "GET /snapshot long-polls answered 304: no change within the wait.", float64(s.ctr.snapshotUnchanged.Load()))
 
 	st := sum.Stats()
 	p.Counter("hkd_engine_packets_total", "Arrivals the engine processed.", float64(st.Packets))

@@ -87,6 +87,7 @@ func (s *Server) handleReconfig(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			win.Rotate()
+			t.gen.advance()
 			resp.Rotated = true
 			s.tenantLog.Info("epoch rotated", "tenant", t.name)
 		}
@@ -150,5 +151,6 @@ func (s *Server) growK(t *tenant, newK int) (int, error) {
 		}
 	}
 	t.setSummarizer(grown)
+	t.gen.advance()
 	return grown.K(), nil
 }

@@ -221,6 +221,8 @@ type counters struct {
 	snapshotErrs    atomic.Uint64
 	snapshotServes  atomic.Uint64
 	snapshotServeEr atomic.Uint64
+	// snapshotUnchanged counts long-polls answered 304; /metrics only.
+	snapshotUnchanged atomic.Uint64
 }
 
 // errProbe is the sentinel the snapshot-capability probe writer returns;
@@ -276,6 +278,7 @@ type Server struct {
 	drainBy  atomic.Int64
 
 	wg       sync.WaitGroup
+	closing  chan struct{} // closed by Shutdown: parked long-polls answer at once
 	stopSnap chan struct{}
 	stopMon  chan struct{}
 	ctr      counters
@@ -433,6 +436,7 @@ func New(cfg Config) (*Server, error) {
 		obs:          sobs,
 		conns:        map[*ingestConn]struct{}{},
 		sem:          make(chan struct{}, cfg.MaxInflight),
+		closing:      make(chan struct{}),
 		stopSnap:     make(chan struct{}),
 		stopMon:      make(chan struct{}),
 		snap:         snap,
@@ -802,7 +806,10 @@ func (s *Server) udpLoop() {
 func (s *Server) ingest(t *tenant, b *wire.Batch) {
 	t.frames.Add(1)
 	t.records.Add(uint64(len(b.Keys)))
-	t.touch()
+	// One clock read per batch serves both the LRU stamp and the latency
+	// observation below.
+	start := time.Now()
+	t.touch(start)
 	scale := uint64(1)
 	if s.degraded.Load() && s.cfg.ShedKeepOneIn > 1 {
 		if !s.keepBatch() {
@@ -816,7 +823,6 @@ func (s *Server) ingest(t *tenant, b *wire.Batch) {
 	// Batch-granular latency: queue wait plus the summarizer call. One
 	// clock read and a few atomic adds per batch — the per-key loop
 	// under AddBatch stays untouched.
-	start := time.Now()
 	select {
 	case s.sem <- struct{}{}:
 	default:
@@ -851,6 +857,7 @@ func (s *Server) ingest(t *tenant, b *wire.Batch) {
 	}
 	s.inflight.Add(-1)
 	<-s.sem
+	t.gen.advance()
 	s.obs.ingestBatch.Observe(time.Since(start))
 	s.ctr.records.Add(uint64(len(b.Keys)))
 }
@@ -1003,6 +1010,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.closed = true
 	s.mu.Unlock()
 
+	close(s.closing)
 	close(s.stopSnap)
 	close(s.stopMon)
 	s.closeListeners()

@@ -27,6 +27,9 @@ type genStore struct {
 
 	mu  sync.Mutex
 	seq uint64
+	// written mirrors seq for GET /snapshot long-polls: it advances after
+	// each generation is renamed into place.
+	written *genCounter
 
 	// wrap is the fault-injection seam: when set, snapshot bytes flow
 	// through wrap(tempFile) so chaos tests can tear a write mid-frame.
@@ -44,6 +47,7 @@ func newGenStore(base string, keep int) (*genStore, error) {
 	if len(gens) > 0 {
 		g.seq = gens[0].seq
 	}
+	g.written = newGenCounter(g.seq)
 	return g, nil
 }
 
@@ -119,6 +123,7 @@ func (g *genStore) write(sw heavykeeper.SnapshotWriter) error {
 	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("server: snapshot dir sync: %w", err)
 	}
+	g.written.advance()
 	g.prune()
 	return nil
 }

@@ -35,6 +35,11 @@ var (
 type tenant struct {
 	name string
 	sum  atomic.Pointer[sumBox]
+	// gen advances after every change to the tenant's state: an applied
+	// ingest batch, grow_k, rotate_epoch. It starts at the wall clock in
+	// nanoseconds, so a restarted (restored) daemon or a re-admitted
+	// tenant never repeats a value a poller saw from its predecessor.
+	gen *genCounter
 
 	// Audit counters: every frame that reaches ingest for this tenant is
 	// accounted here, whether or not degraded-mode sampling later sheds
@@ -52,7 +57,16 @@ func (t *tenant) summarizer() heavykeeper.Summarizer { return t.sum.Load().s }
 
 func (t *tenant) setSummarizer(s heavykeeper.Summarizer) { t.sum.Store(&sumBox{s: s}) }
 
-func (t *tenant) touch() { t.lastUsed.Store(time.Now().UnixNano()) }
+func (t *tenant) touch(now time.Time) { t.lastUsed.Store(now.UnixNano()) }
+
+// newTenant returns a tenant serving sum, marked used now.
+func newTenant(name string, sum heavykeeper.Summarizer) *tenant {
+	now := time.Now()
+	t := &tenant{name: name, gen: newGenCounter(uint64(now.UnixNano()))}
+	t.setSummarizer(sum)
+	t.touch(now)
+	return t
+}
 
 // registry maps tenant names to live tenants, admits new ones through
 // the configured factory under a bounded total-memory budget, and evicts
@@ -73,9 +87,7 @@ type registry struct {
 }
 
 func newRegistry(def heavykeeper.Summarizer, factory func(k int) (heavykeeper.Summarizer, error), maxTenants, budget int) *registry {
-	d := &tenant{name: DefaultTenant}
-	d.setSummarizer(def)
-	d.touch()
+	d := newTenant(DefaultTenant, def)
 	return &registry{
 		tenants: map[string]*tenant{DefaultTenant: d},
 		def:     d,
@@ -127,9 +139,7 @@ func (r *registry) admitLocked(name string) (*tenant, error) {
 			}
 		}
 	}
-	t := &tenant{name: name}
-	t.setSummarizer(sum)
-	t.touch()
+	t := newTenant(name, sum)
 	r.tenants[name] = t
 	r.admitted.Add(1)
 	return t, nil

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	heavykeeper "repro"
 )
 
 // FuzzWireDecode throws arbitrary byte streams at the frame decoder. The
@@ -115,4 +117,69 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("DecodeDatagram error %v does not match ErrCorrupt", err)
 		}
 	})
+}
+
+// FuzzReportDecode throws arbitrary bytes at the report decoder and
+// corrupts valid reports one byte at a time. The contract under attack:
+// decoding never panics and fails only with ErrCorrupt errors, every
+// accepted report re-encodes to one that decodes to the same report, and
+// any single-byte change to a valid frame is rejected.
+func FuzzReportDecode(f *testing.F) {
+	valid, _ := AppendReport(nil, Report{Generation: 7, K: 3, Flows: []heavykeeper.Flow{
+		{ID: []byte("flow-a"), Count: 1 << 40}, {ID: []byte("b"), Count: 2}, {ID: nil, Count: 0},
+	}})
+	f.Add(valid, uint16(0), byte(1))
+	empty, _ := AppendReport(nil, Report{Generation: 1 << 63, K: 100})
+	f.Add(empty, uint16(5), byte(0x80))
+	f.Add([]byte("HKR1"), uint16(3), byte(0xff))
+	f.Add([]byte{}, uint16(0), byte(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, pos uint16, flip byte) {
+		r, err := DecodeReport(data)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeReport error %v does not match ErrCorrupt", err)
+		}
+		if err != nil {
+			// Make a valid report out of the input instead, so the
+			// corruption check below always has a frame to attack.
+			r = Report{Generation: uint64(len(data)), K: int(pos)}
+			for len(data) > 0 {
+				n := min(len(data), 1+int(data[0])%16)
+				r.Flows = append(r.Flows, heavykeeper.Flow{ID: data[:n], Count: uint64(flip) << (n % 57)})
+				data = data[n:]
+			}
+		}
+		enc, err := AppendReport(nil, r)
+		if err != nil {
+			t.Fatalf("re-encode of %+v failed: %v", r, err)
+		}
+		back, err := DecodeReport(enc)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !sameReport(back, r) {
+			t.Fatalf("round trip changed the report: %+v vs %+v", back, r)
+		}
+
+		if flip == 0 {
+			flip = 1
+		}
+		bad := append([]byte(nil), enc...)
+		bad[int(pos)%len(bad)] ^= flip
+		if _, err := DecodeReport(bad); !errors.Is(err, ErrReportChecksum) {
+			t.Fatalf("byte %d flipped by %#x: got %v, want ErrReportChecksum", int(pos)%len(bad), flip, err)
+		}
+	})
+}
+
+func sameReport(a, b Report) bool {
+	if a.Generation != b.Generation || a.K != b.K || len(a.Flows) != len(b.Flows) {
+		return false
+	}
+	for i := range a.Flows {
+		if !bytes.Equal(a.Flows[i].ID, b.Flows[i].ID) || a.Flows[i].Count != b.Flows[i].Count {
+			return false
+		}
+	}
+	return true
 }

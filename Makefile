@@ -106,11 +106,13 @@ docs-lint:
 	$(GO) run ./cmd/doclint
 
 # fuzz-smoke gives the snapshot decoder, the open-addressed store index,
-# the ingest wire-frame decoder and the report-frame decoder a short
+# the tracker's store-probe gate (against an always-probe oracle), the
+# ingest wire-frame decoder and the report-frame decoder a short
 # adversarial workout (CI runs this target).
 fuzz-smoke:
 	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/streamsummary -run=NONE -fuzz=FuzzStoreEquivalence -fuzztime=10s
+	$(GO) test ./internal/topk -run=NONE -fuzz=FuzzProbeGate -fuzztime=10s
 	$(GO) test ./wire -run=NONE -fuzz=FuzzWireDecode -fuzztime=10s
 	$(GO) test ./wire -run=NONE -fuzz=FuzzReportDecode -fuzztime=10s
 	$(GO) test . -run=NONE -fuzz=FuzzSnapshotRead -fuzztime=10s

@@ -144,30 +144,54 @@ func BenchmarkAblationExpansion(b *testing.B)      { benchAblation(b, "expansion
 var (
 	ingestKeysOnce sync.Once
 	ingestKeys     [][]byte
+	lowSkewOnce    sync.Once
+	lowSkewKeys    [][]byte
 )
 
+// traceKeys generates spec's packet stream as a key slice. Every ingest
+// benchmark indexes it modulo its length, so spec.Packets must be a power
+// of two.
+func traceKeys(spec gen.Spec) [][]byte {
+	tr := gen.MustGenerate(spec)
+	keys := make([][]byte, 0, tr.Len())
+	tr.ForEach(func(key []byte) { keys = append(keys, key) })
+	return keys
+}
+
 // sharedIngestKeys is a zipfian key stream (16k distinct draws over ~3k
-// flows) shared by all ingest benchmarks.
+// flows) shared by all ingest benchmarks. Replayed into a 100-flow
+// tracker, about half of its packets still probe the top-k store.
 func sharedIngestKeys() [][]byte {
 	ingestKeysOnce.Do(func() {
-		tr := gen.MustGenerate(gen.Spec{
+		ingestKeys = traceKeys(gen.Spec{
 			Name: "bench", Packets: 1 << 14, Flows: 3000, Skew: 1.0,
 			Kind: gen.IDTwoTuple, Seed: 7,
 		})
-		ingestKeys = make([][]byte, 0, tr.Len())
-		tr.ForEach(func(key []byte) { ingestKeys = append(ingestKeys, key) })
 	})
 	return ingestKeys
 }
 
+// sharedLowSkewKeys is a mouse-heavy stream (64k draws at zipf 0.6 over
+// 60k flows). The top-k minimum sits above nearly every mouse counter, so
+// fewer than 1 % of its packets probe the store: the path where the
+// tracker's probe gate skips almost every probe.
+func sharedLowSkewKeys() [][]byte {
+	lowSkewOnce.Do(func() {
+		lowSkewKeys = traceKeys(gen.Spec{
+			Name: "bench-low-skew", Packets: 1 << 16, Flows: 60_000, Skew: 0.6,
+			Kind: gen.IDTwoTuple, Seed: 7,
+		})
+	})
+	return lowSkewKeys
+}
+
 // benchIngest runs body via b.RunParallel with exactly g goroutines by
 // pinning GOMAXPROCS to g for the duration (RunParallel spawns GOMAXPROCS ×
-// parallelism goroutines). Each goroutine walks the shared key stream from
-// its own offset. The timed region ends with a read of sum, which applies
-// whatever a Sharded still has queued, so handed-off work is counted.
-func benchIngest(b *testing.B, g int, sum heavykeeper.Summarizer, body func(pb *testing.PB, keys [][]byte)) {
+// parallelism goroutines). Each goroutine walks keys from its own offset.
+// The timed region ends with a read of sum, which applies whatever a
+// Sharded still has queued, so handed-off work is counted.
+func benchIngest(b *testing.B, g int, keys [][]byte, sum heavykeeper.Summarizer, body func(pb *testing.PB, keys [][]byte)) {
 	b.Helper()
-	keys := sharedIngestKeys()
 	prev := runtime.GOMAXPROCS(g)
 	defer runtime.GOMAXPROCS(prev)
 	b.ReportAllocs()
@@ -179,11 +203,11 @@ func benchIngest(b *testing.B, g int, sum heavykeeper.Summarizer, body func(pb *
 func BenchmarkIngestConcurrentAdd(b *testing.B) {
 	for _, g := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			c, err := heavykeeper.NewConcurrent(100)
+			c, err := heavykeeper.New(100, heavykeeper.WithConcurrency())
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchIngest(b, g, c, func(pb *testing.PB, keys [][]byte) {
+			benchIngest(b, g, sharedIngestKeys(), c, func(pb *testing.PB, keys [][]byte) {
 				i := 0
 				for pb.Next() {
 					c.Add(keys[i&(len(keys)-1)])
@@ -201,7 +225,7 @@ func BenchmarkIngestShardedAdd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchIngest(b, s, sh, func(pb *testing.PB, keys [][]byte) {
+			benchIngest(b, s, sharedIngestKeys(), sh, func(pb *testing.PB, keys [][]byte) {
 				i := 0
 				for pb.Next() {
 					sh.Add(keys[i&(len(keys)-1)])
@@ -237,15 +261,19 @@ func batchedBody(add func([][]byte), bs int) func(pb *testing.PB, keys [][]byte)
 }
 
 func BenchmarkIngestConcurrentAddBatch(b *testing.B) {
-	for _, bs := range []int{64, 256} {
-		b.Run(fmt.Sprintf("g=8/batch=%d", bs), func(b *testing.B) {
-			c, err := heavykeeper.NewConcurrent(100)
+	run := func(name string, bs int, keys func() [][]byte) {
+		b.Run(name, func(b *testing.B) {
+			c, err := heavykeeper.New(100, heavykeeper.WithConcurrency())
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchIngest(b, 8, c, batchedBody(c.AddBatch, bs))
+			benchIngest(b, 8, keys(), c, batchedBody(c.AddBatch, bs))
 		})
 	}
+	for _, bs := range []int{64, 256} {
+		run(fmt.Sprintf("g=8/batch=%d", bs), bs, sharedIngestKeys)
+	}
+	run("g=8/batch=256/zipf=0.6", 256, sharedLowSkewKeys)
 }
 
 func BenchmarkIngestShardedAddBatch(b *testing.B) {
@@ -256,7 +284,7 @@ func BenchmarkIngestShardedAddBatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchIngest(b, s, sh, batchedBody(sh.AddBatch, bs))
+				benchIngest(b, s, sharedIngestKeys(), sh, batchedBody(sh.AddBatch, bs))
 			})
 		}
 	}

@@ -23,36 +23,6 @@ type Concurrent struct {
 	t  *TopK
 }
 
-// NewConcurrent returns a concurrency-safe TopK.
-//
-// Deprecated: use New(k, WithConcurrency(), opts...). This wrapper remains
-// for compatibility: as before this constructor existed under the unified
-// New, a WithShards option is ignored rather than treated as a conflict.
-func NewConcurrent(k int, opts ...Option) (*Concurrent, error) {
-	cfg, err := parseConfig(k, opts)
-	if err != nil {
-		return nil, err
-	}
-	cfg.shards = 0 // historical contract: WithShards is ignored here
-	t, err := newTopK(k, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Concurrent{t: t}, nil
-}
-
-// MustNewConcurrent is NewConcurrent that panics on error, for tests and
-// examples.
-//
-// Deprecated: use MustNew(k, WithConcurrency(), opts...).
-func MustNewConcurrent(k int, opts ...Option) *Concurrent {
-	c, err := NewConcurrent(k, opts...)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Synchronized returns a concurrency-safe view of s: a bare *TopK is
 // wrapped behind a mutex (the returned Concurrent shares its state);
 // every other frontend is already safe for concurrent use and is

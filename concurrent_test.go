@@ -9,7 +9,7 @@ import (
 // from many goroutines at once; its value is as a -race target (CI runs the
 // root package under the race detector), with a sanity check on the result.
 func TestConcurrentHammer(t *testing.T) {
-	c, err := NewConcurrent(10, WithMemory(16<<10))
+	c, err := New(10, WithConcurrency(), WithMemory(16<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

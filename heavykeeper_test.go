@@ -74,6 +74,11 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("%s: error %v, want errors.Is %v", c.name, err, c.want)
 		}
 	}
+	// The agreeing counterpart of "version vs versioned algorithm" is no
+	// conflict.
+	if _, err := New(10, WithVersion(VersionMinimum), WithAlgorithm(AlgorithmHeavyKeeperMinimum)); err != nil {
+		t.Errorf("agreeing WithVersion + versioned algorithm rejected: %v", err)
+	}
 }
 
 // TestNewDispatch pins the unified constructor's frontend selection: the
@@ -96,23 +101,6 @@ func TestNewDispatch(t *testing.T) {
 	}
 	if sh.Shards() != 4 {
 		t.Errorf("Shards() = %d want 4", sh.Shards())
-	}
-}
-
-// TestDeprecatedConstructorCompat pins the wrappers' historical contracts:
-// NewConcurrent ignores WithShards (as its pre-unification docs promised)
-// and an agreeing WithVersion + versioned algorithm name is not a conflict.
-func TestDeprecatedConstructorCompat(t *testing.T) {
-	c, err := NewConcurrent(10, WithShards(4))
-	if err != nil {
-		t.Fatalf("NewConcurrent with WithShards: %v", err)
-	}
-	c.Add([]byte("x"))
-	if c.Query([]byte("x")) != 1 {
-		t.Error("NewConcurrent(WithShards) not usable")
-	}
-	if _, err := New(10, WithVersion(VersionMinimum), WithAlgorithm(AlgorithmHeavyKeeperMinimum)); err != nil {
-		t.Errorf("agreeing WithVersion + versioned algorithm rejected: %v", err)
 	}
 }
 
@@ -268,7 +256,7 @@ func TestStatsExposed(t *testing.T) {
 }
 
 func TestConcurrentSafety(t *testing.T) {
-	c, err := NewConcurrent(20, WithMemory(32<<10), WithSeed(5))
+	c, err := New(20, WithConcurrency(), WithMemory(32<<10), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +319,7 @@ func BenchmarkAddMinimum(b *testing.B) {
 }
 
 func BenchmarkConcurrentAdd(b *testing.B) {
-	c, _ := NewConcurrent(100, WithMemory(64<<10), WithSeed(1))
+	c := MustNew(100, WithConcurrency(), WithMemory(64<<10), WithSeed(1))
 	stream, _ := skewed(1<<16, 20000, 1)
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0

@@ -39,7 +39,7 @@ func TestOneHashPerPacket(t *testing.T) {
 	ks := string(k)
 
 	tk := heavykeeper.MustNew(100, heavykeeper.WithSeed(1))
-	conc, _ := heavykeeper.NewConcurrent(100, heavykeeper.WithSeed(1))
+	conc := heavykeeper.MustNew(100, heavykeeper.WithConcurrency(), heavykeeper.WithSeed(1))
 	shrd := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
 	// The store layer must ride on the packet's one hash too, whichever
 	// top-k structure backs it: the open-addressed Stream-Summary (default)
@@ -98,7 +98,7 @@ func TestZeroAllocIngest(t *testing.T) {
 
 	tk := heavykeeper.MustNew(100, heavykeeper.WithSeed(1))
 	shrd := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
-	conc, _ := heavykeeper.NewConcurrent(100, heavykeeper.WithSeed(1))
+	conc := heavykeeper.MustNew(100, heavykeeper.WithConcurrency(), heavykeeper.WithSeed(1))
 	heap := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithMinHeap())
 	warm := func() {
 		for i := 0; i < 50; i++ {

@@ -418,25 +418,65 @@ func (s *Sketch) InsertParallel(key []byte, inHeap bool, nmin uint32) uint32 {
 // InsertParallelHashed is InsertParallel for a caller that precomputed
 // KeyHash. Semantics, statistics and RNG consumption are identical to
 // InsertParallel(key, inHeap, nmin). The common shape — a modern sketch at
-// the default d = 2 — derives both cell positions in registers with the
-// locate arithmetic inlined, skipping the s.pos scratch round-trip the
-// general locate path pays, and enters the two-cell update body directly;
-// the positions and fingerprint are the same values locateHash would
-// produce, so results are bit-identical.
+// the default d = 2 — is located by Locate2 and enters the two-cell update
+// body directly.
 func (s *Sketch) InsertParallelHashed(key []byte, h uint64, inHeap bool, nmin uint32) uint32 {
-	if s.legacy == nil && s.d == 2 {
-		h1 := hash.Mix(s.h1Seed, h)
-		h2 := hash.Mix(s.h2Seed, h) | 1
-		p0 := int(hash.Reduce(h1, s.w))
-		p1 := s.cfg.W + int(hash.Reduce(h1+h2, s.w))
-		fp := uint32(hash.Mix(s.fpSeed, h)) & s.fpMask
-		if fp == 0 {
-			fp = 1
-		}
-		return s.insertParallel2At(p0, p1, fp, inHeap, nmin)
+	if l, ok := s.Locate2(h); ok {
+		return s.insertParallel2At(l.p0, l.p1, l.fp, inHeap, nmin)
 	}
 	pos, fp := s.locateFor(key, h)
 	return s.insertParallelAt(pos, fp, inHeap, nmin)
+}
+
+// Loc2 is a key's placement in a two-array sketch: both flat cell positions
+// and the fingerprint, derived once from the KeyHash by Locate2.
+type Loc2 struct {
+	p0, p1 int
+	fp     uint32
+}
+
+// Locate2 derives key hash h's placement on the default shape, a modern
+// sketch with d = 2, in registers: the same positions and fingerprint
+// locateHash would produce, without the s.pos scratch round-trip. ok is
+// false for expanded (d != 2) and v2-restored sketches; their callers take
+// the general locate path. The placement stays valid until the next insert,
+// which may expand the sketch.
+func (s *Sketch) Locate2(h uint64) (l Loc2, ok bool) {
+	if s.legacy != nil || s.d != 2 {
+		return Loc2{}, false
+	}
+	h1 := hash.Mix(s.h1Seed, h)
+	h2 := hash.Mix(s.h2Seed, h) | 1
+	fp := uint32(hash.Mix(s.fpSeed, h)) & s.fpMask
+	if fp == 0 {
+		fp = 1
+	}
+	return Loc2{
+		p0: int(hash.Reduce(h1, s.w)),
+		p1: s.cfg.W + int(hash.Reduce(h1+h2, s.w)),
+		fp: fp,
+	}, true
+}
+
+// Match2 returns the larger counter among l's two cells that hold l's
+// fingerprint, or 0 when neither does: the estimate Query would report,
+// read without changing anything. A fingerprint is never 0, so an empty
+// cell never matches.
+func (s *Sketch) Match2(l Loc2) uint32 {
+	var c uint32
+	if cell := s.slab[l.p0]; cellFP(cell) == l.fp {
+		c = cellC(cell)
+	}
+	if cell := s.slab[l.p1]; cellFP(cell) == l.fp && cellC(cell) > c {
+		c = cellC(cell)
+	}
+	return c
+}
+
+// InsertParallel2 is InsertParallelHashed at a placement from Locate2, for a
+// caller that inspected the cells (Match2) before deciding the gate.
+func (s *Sketch) InsertParallel2(l Loc2, inHeap bool, nmin uint32) uint32 {
+	return s.insertParallel2At(l.p0, l.p1, l.fp, inHeap, nmin)
 }
 
 // decayContested runs the contested-arm case for the foreign live cell at

@@ -218,11 +218,11 @@ func (s *Summary) indexDelete(n *node) {
 }
 
 // Prefetch touches the home index slot of every hash in hs, pulling the
-// cache lines the upcoming probes will hit. The batch ingest path calls it
-// as pass 1 of its grouped two-pass probe: the loads are independent, so the
-// hardware overlaps them, where the probe-update-probe sequence of the apply
-// pass is a chain of dependent accesses. It reads only; results are sunk
-// into a field so the loop is not dead code.
+// cache lines the upcoming probes will hit. The Space-Saving and CSS batch
+// paths call it as pass 1 of a grouped two-pass probe: the loads are
+// independent, so the hardware overlaps them, where the probe-update-probe
+// sequence of the apply pass is a chain of dependent accesses. It reads
+// only; results are sunk into a field so the loop is not dead code.
 func (s *Summary) Prefetch(hs []uint64) {
 	var x uint64
 	mask := s.mask

@@ -277,9 +277,11 @@ func (t *Tracker) InsertHashed(key []byte, h uint64) {
 
 // insertHashed dispatches one packet with a precomputed key hash. For the
 // optimized disciplines it implements Algorithm 1/2's three steps: Step 1
-// checks membership (flag), Step 2 inserts into the sketch with
+// takes the flow's membership flag, Step 2 inserts into the sketch with
 // Optimization II gating, Step 3 admits to the top-k structure under
-// Optimization I's n̂ = n_min + 1 rule.
+// Optimization I's n̂ = n_min + 1 rule. The generic path below probes the
+// store for the flag on every packet; the default Stream-Summary store
+// skips the probe where the flag cannot matter (insertHashedSummary).
 func (t *Tracker) insertHashed(key []byte, h uint64) {
 	switch t.opts.Version {
 	case Basic:
@@ -288,8 +290,8 @@ func (t *Tracker) insertHashed(key []byte, h uint64) {
 		t.admitBasicHashed(key, h, uint64(t.sk.InsertBasicHashed(key, h)))
 	case Parallel, Minimum:
 		// The default store gets a devirtualized path with the fused
-		// probe-then-update pair (one index probe per packet); other stores
-		// go through the interface.
+		// probe-then-update pair (at most one index probe per packet);
+		// other stores go through the interface.
 		if ss, ok := t.store.(summaryStore); ok {
 			t.insertHashedSummary(ss.s, key, h)
 			return
@@ -310,25 +312,57 @@ func (t *Tracker) insertHashed(key []byte, h uint64) {
 
 // insertHashedSummary is insertHashed for the Parallel/Minimum disciplines
 // against the concrete Stream-Summary store: no interface dispatch, and the
-// store is probed exactly once per packet — the handle from ProbeHashed
+// store is probed at most once per packet — the handle from ProbeHashed
 // takes the eventual update, valid because nothing between probe and update
-// can unmonitor the entry. Behavior is identical to the generic path; the
-// equivalence tests pin it.
+// can unmonitor the entry.
+//
+// The Parallel discipline on the default two-array sketch reads its two
+// mapped cells first and probes the store only when the membership flag
+// can change the outcome. By Theorem 1, once the store is full with
+// n_min = MinCount() > 0, the flag is irrelevant when every mapped cell
+// holding the flow's fingerprint has a counter c < n_min:
+//   - Optimization II's gate passes every such cell either way (c <= n_min;
+//     DisableOptII has no gate), so the sketch update is the same and the
+//     new estimate is at most max(c+1, 1) <= n_min;
+//   - a monitored flow's recorded size is >= n_min, so UpdateMax with that
+//     estimate is a no-op;
+//   - an unmonitored flow is not admitted, since Optimization I needs
+//     exactly n_min + 1 and DisableOptI needs more than n_min.
+//
+// So the packet takes flag = false without a probe. A store that is not
+// full admits any estimate, and with n_min = 0 an estimate of 1 admits, so
+// both always probe. Expanded and v2-restored sketches, and the Minimum
+// discipline, probe every packet. Results are bit-identical to the generic
+// path; FuzzProbeGate and the equivalence tests pin that.
 func (t *Tracker) insertHashedSummary(ss *streamsummary.Summary, key []byte, h uint64) {
-	probe, flag := ss.ProbeHashed(key, h)
 	full := ss.Len() >= t.opts.K
-	nmin := uint32(0xffffffff)
 	var minCount uint64
 	if full {
 		minCount = ss.MinCount()
-		if !flag && !t.opts.DisableOptII && minCount < uint64(nmin) {
-			nmin = uint32(minCount)
-		}
+	}
+	var l core.Loc2
+	two := false
+	if t.opts.Version == Parallel {
+		l, two = t.sk.Locate2(h)
+	}
+	var probe streamsummary.Probe
+	var flag bool
+	// minCount is 0 unless the store is full, so this probes whenever the
+	// store has room or an empty minimum.
+	if !two || uint64(t.sk.Match2(l)) >= minCount {
+		probe, flag = ss.ProbeHashed(key, h)
+	}
+	nmin := uint32(0xffffffff)
+	if full && !flag && !t.opts.DisableOptII && minCount < uint64(nmin) {
+		nmin = uint32(minCount)
 	}
 	var est uint64
-	if t.opts.Version == Minimum {
+	switch {
+	case two:
+		est = uint64(t.sk.InsertParallel2(l, flag, nmin))
+	case t.opts.Version == Minimum:
 		est = uint64(t.sk.InsertMinimumHashed(key, h, flag, nmin))
-	} else {
+	default:
 		est = uint64(t.sk.InsertParallelHashed(key, h, flag, nmin))
 	}
 	switch {
@@ -508,43 +542,28 @@ func (t *Tracker) insertBatch(keys [][]byte, hashes []uint64) {
 
 // insertParallelBatchSummary is InsertBatch's hot path: the Parallel
 // discipline against a Stream-Summary store. Per-key work goes through
-// insertHashedSummary — the same devirtualized probe/gate/sketch/admit body
+// insertHashedSummary — the same devirtualized peek/probe/sketch/admit body
 // the sequential path uses, so the admission rule lives in one place — with
 // no gate/report closures in between. hashes, when non-nil, carries the
 // caller's precomputed KeyHash per key; otherwise each chunk is hashed once
-// here (on a v2-restored sketch too — the legacy placement ignores the
-// value, but the store index is keyed by it).
+// here in one tight loop (on a v2-restored sketch too — the legacy
+// placement ignores the value, but the store index is keyed by it).
 //
-// Each chunk is a grouped two-pass probe. Pass 1 (Prefetch) computes every
-// key's home index slot from its hash and touches it: the loads carry no
-// dependencies, so the hardware pipelines them and the slot cache lines are
-// warm before any of them is needed. Pass 2 applies the per-key
-// probe/sketch/admit sequence in stream order — the same dependent chain as
-// the sequential path, now mostly hitting L1. Pass 1 only reads, so results
-// stay bit-identical to a sequential loop over Insert; the equivalence tests
-// in batch_test.go pin that.
+// There is no prefetch pass ahead of the apply loop: most low-skew packets
+// skip the store probe, and touching every key's home store slot first
+// measured 4–6 % slower end to end on both workloads tried, as did touching
+// the sketch cells in process (doc/performance.md).
 func (t *Tracker) insertParallelBatchSummary(keys [][]byte, hashes []uint64, ss *streamsummary.Summary) {
+	if hashes != nil {
+		for i, key := range keys {
+			t.insertHashedSummary(ss, key, hashes[i])
+		}
+		return
+	}
 	for off := 0; off < len(keys); off += core.BatchChunk {
-		end := off + core.BatchChunk
-		if end > len(keys) {
-			end = len(keys)
-		}
+		end := min(off+core.BatchChunk, len(keys))
 		chunk := keys[off:end]
-		// Pass 1 of the grouped probe: one tight hash loop over the chunk
-		// (on a v2-restored sketch too — its placement ignores KeyHash, but
-		// the store index is keyed by it), then a touch of every key's home
-		// store slot. The touches are independent loads the hardware
-		// overlaps freely, so pass 2's dependent probe chains run against
-		// warm lines. Sketch-side staging was tried here and measured
-		// slower than re-deriving cell indexes in registers at apply time
-		// (see ROADMAP); only the store side keeps a prefetch pass.
-		hs := hashes
-		if hs != nil {
-			hs = hashes[off:end]
-		} else {
-			hs = t.sk.HashBatch(chunk)
-		}
-		ss.Prefetch(hs)
+		hs := t.sk.HashBatch(chunk)
 		for ci, key := range chunk {
 			t.insertHashedSummary(ss, key, hs[ci])
 		}

@@ -831,7 +831,7 @@ func (s *Server) ingest(t *tenant, b *wire.Batch) {
 		// immediate and deterministic.
 		if w := s.waiting.Add(1); w >= int64(s.cfg.OverloadHighWater) {
 			s.lastOver.Store(time.Now().UnixNano())
-			s.enterDegraded(w)
+			s.enterDegraded(triggerQueue, w, 0)
 		}
 		s.sem <- struct{}{}
 		s.waiting.Add(-1)
@@ -881,17 +881,38 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// enterDegraded flips the server into degraded mode once per episode.
-func (s *Server) enterDegraded(queue int64) {
-	if s.degraded.CompareAndSwap(false, true) {
-		s.degradedAt.Store(time.Now().UnixNano())
-		s.ctr.degradedEntries.Add(1)
-		s.log.Warn("entering degraded mode",
-			"queue", queue,
-			"high_water", s.cfg.OverloadHighWater,
-			"shed", s.cfg.ShedKeepOneIn-1,
-			"of", s.cfg.ShedKeepOneIn)
+// Degraded-mode triggers: the watermark that tripped, as logged on entry.
+const (
+	triggerQueue = "queue" // ingest queue depth reached OverloadHighWater
+	triggerHeap  = "heap"  // HeapAlloc reached MemHighWater
+)
+
+// enterDegraded flips the server into degraded mode once per episode and
+// logs why: the trigger, the queue depth and heap bytes at entry, and the
+// watermark that tripped. heap is the HeapAlloc the caller already read;
+// 0 means read it here, which happens once per episode only.
+func (s *Server) enterDegraded(trigger string, queue int64, heap uint64) {
+	if !s.degraded.CompareAndSwap(false, true) {
+		return
 	}
+	s.degradedAt.Store(time.Now().UnixNano())
+	s.ctr.degradedEntries.Add(1)
+	if heap == 0 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		heap = ms.HeapAlloc
+	}
+	watermark := uint64(s.cfg.OverloadHighWater)
+	if trigger == triggerHeap {
+		watermark = s.cfg.MemHighWater
+	}
+	s.log.Warn("entering degraded mode",
+		"trigger", trigger,
+		"queue", queue,
+		"heap_bytes", heap,
+		"watermark", watermark,
+		"shed", s.cfg.ShedKeepOneIn-1,
+		"of", s.cfg.ShedKeepOneIn)
 }
 
 // exitDegraded returns the server to exact mode once per episode and
@@ -923,19 +944,21 @@ func (s *Server) monitorLoop() {
 		case <-t.C:
 			now := time.Now()
 			w := s.waiting.Load()
-			over := w >= int64(s.cfg.OverloadHighWater)
-			if !over && s.cfg.MemHighWater > 0 {
+			trigger, heap := "", uint64(0)
+			if w >= int64(s.cfg.OverloadHighWater) {
+				trigger = triggerQueue
+			} else if s.cfg.MemHighWater > 0 {
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
 				if ms.HeapAlloc >= s.cfg.MemHighWater {
-					over = true
-					s.log.Warn("heap past watermark", "heap_bytes", ms.HeapAlloc, "watermark", s.cfg.MemHighWater)
+					trigger, heap = triggerHeap, ms.HeapAlloc
+					s.log.Warn("heap past watermark", "heap_bytes", heap, "watermark", s.cfg.MemHighWater)
 				}
 			}
 			switch {
-			case over:
+			case trigger != "":
 				s.lastOver.Store(now.UnixNano())
-				s.enterDegraded(w)
+				s.enterDegraded(trigger, w, heap)
 			case s.degraded.Load():
 				if w > int64(s.cfg.OverloadLowWater) {
 					// Still above the recovery watermark: not calm yet.

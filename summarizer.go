@@ -81,8 +81,7 @@ var (
 // New returns the Summarizer the options describe: a plain *TopK by
 // default, a *Concurrent under WithConcurrency, a *Sharded under
 // WithShards, over the algorithm selected by WithAlgorithm (HeavyKeeper by
-// default). It is the single construction entry point; NewConcurrent
-// remains as a deprecated wrapper.
+// default). It is the single construction entry point.
 func New(k int, opts ...Option) (Summarizer, error) {
 	cfg, err := parseConfig(k, opts)
 	if err != nil {

@@ -105,10 +105,11 @@ bench-ab:
 docs-lint:
 	$(GO) run ./cmd/doclint
 
-# fuzz-smoke gives the snapshot decoder, the open-addressed store index,
+# fuzz-smoke gives the sketch frame decoder, the open-addressed store index,
 # the tracker's store-probe gate (against an always-probe oracle), the
-# ingest wire-frame decoder and the report-frame decoder a short
-# adversarial workout (CI runs this target).
+# ingest wire-frame decoder, the report-frame decoder and the checksummed
+# snapshot-envelope reader (FuzzSnapshotRead) a short adversarial workout
+# (CI runs this target).
 fuzz-smoke:
 	$(GO) test ./internal/core -run=NONE -fuzz=FuzzDecode -fuzztime=10s
 	$(GO) test ./internal/streamsummary -run=NONE -fuzz=FuzzStoreEquivalence -fuzztime=10s

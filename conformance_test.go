@@ -321,11 +321,20 @@ func TestMergeMismatchAcrossFrontends(t *testing.T) {
 	tk := heavykeeper.MustNew(5)
 	conc := heavykeeper.MustNew(5, heavykeeper.WithConcurrency())
 	shrd := heavykeeper.MustNew(5, heavykeeper.WithShards(2))
+	// Same seed and width, different fingerprint width: the flow's
+	// fingerprints never match across the two, so a merge would drop it.
+	fp16 := heavykeeper.MustNew(5, heavykeeper.WithSeed(1), heavykeeper.WithWidth(64), heavykeeper.WithFingerprintBits(16))
+	fp8 := heavykeeper.MustNew(5, heavykeeper.WithSeed(1), heavykeeper.WithWidth(64), heavykeeper.WithFingerprintBits(8))
+	for i := 0; i < 1000; i++ {
+		fp16.Add([]byte("elephant"))
+		fp8.Add([]byte("elephant"))
+	}
 	for _, c := range []struct {
 		name string
 		err  error
 	}{
 		{"topk<-conc", tk.Merge(conc)},
+		{"fp16<-fp8", fp16.Merge(fp8)},
 		{"conc<-sharded", conc.Merge(shrd)},
 		{"sharded<-topk", shrd.Merge(tk)},
 		{"topk<-nil", tk.Merge(nil)},

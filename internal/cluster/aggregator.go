@@ -122,11 +122,8 @@ type Config struct {
 	// serving their API over TLS.
 	CACertFile string
 	// Logger receives structured operational logs (component=cluster).
-	// Nil falls back to Logf; when both are nil logs are discarded.
+	// Nil discards them.
 	Logger *slog.Logger
-	// Logf receives printf-style log lines when Logger is nil — the
-	// legacy seam the chaos tests hook.
-	Logf func(format string, args ...any)
 }
 
 // node is the aggregator's per-member record: identity, health machine
@@ -235,15 +232,11 @@ func New(cfg Config) (*Aggregator, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: cfg.Timeout}
 	}
-	base := cfg.Logger
-	if base == nil {
-		base = obs.LogfLogger(cfg.Logf) // discards when Logf is nil too
-	}
 	pollWait := min(cfg.Interval, cfg.Timeout/2)
 	ctx, cancel := context.WithCancel(context.Background())
 	a := &Aggregator{
 		cfg:      cfg,
-		log:      obs.Component(base, "cluster"),
+		log:      obs.Component(cfg.Logger, "cluster"),
 		started:  time.Now(),
 		pollWait: pollWait,
 		spacing:  pollWait / 20,
@@ -423,9 +416,6 @@ func (a *Aggregator) collectOnce(parent context.Context, n *node, poll bool) err
 func (a *Aggregator) decode(p *client.SnapshotPoll) (*nodeData, error) {
 	if p.Report != nil {
 		return reportData(p.Report.K, p.Report.Flows), nil
-	}
-	if err := heavykeeper.VerifySnapshot(bytes.NewReader(p.Data)); err != nil {
-		return nil, fmt.Errorf("snapshot failed verification: %w", err)
 	}
 	s, err := heavykeeper.ReadSnapshot(bytes.NewReader(p.Data))
 	if err != nil {

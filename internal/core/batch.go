@@ -41,43 +41,33 @@ func (s *Sketch) HashBatch(keys [][]byte) []uint64 {
 // InsertParallelBatch is InsertParallel over a batch of keys. hashes, when
 // non-nil, must hold KeyHash(keys[i]) for every i (a router that already
 // hashed each key passes them through so nothing is hashed twice); when nil
-// the batch hashes each key once itself — including on a v2-restored sketch,
-// whose own placement ignores KeyHash but whose callers key their store
-// index by it, so the hash must exist and be real either way. gate, when
-// non-nil, is invoked per key in stream order immediately before that key's
-// buckets change, and report (when non-nil) immediately after — so a caller
-// updating a top-k structure from report sees exactly the interleaving of a
-// sequential loop over InsertParallel; both receive the key's hash so store
-// probes need not re-derive it. Only hashing is done ahead of time, and
-// hashing depends on no mutable state, so the batch is bit-for-bit
-// equivalent to the sequential path (including the decay RNG stream, which
-// is consumed lazily in probe order either way; pre-generating it per chunk
-// was measured slower — see doc/performance.md). A nil
-// gate means no Optimization II gating (every matching counter may
-// increment), which is the basic discipline.
+// the batch hashes each key once itself. gate, when non-nil, is invoked per
+// key in stream order immediately before that key's buckets change, and
+// report (when non-nil) immediately after — so a caller updating a top-k
+// structure from report sees exactly the interleaving of a sequential loop
+// over InsertParallel; both receive the key's hash so store probes need not
+// re-derive it. Only hashing is done ahead of time, and hashing depends on
+// no mutable state, so the batch is bit-for-bit equivalent to the
+// sequential path (including the decay RNG stream, which is consumed lazily
+// in probe order either way; pre-generating it per chunk was measured
+// slower — see doc/performance.md). A nil gate means no Optimization II
+// gating (every matching counter may increment), which is the basic
+// discipline.
 func (s *Sketch) InsertParallelBatch(keys [][]byte, hashes []uint64, gate func(i int, h uint64) (inHeap bool, nmin uint32), report func(i int, h uint64, est uint32)) {
-	// A v2-restored sketch ignores KeyHash for placement, so the hash pass
-	// is only worth paying when a gate or report callback will consume the
-	// values (topk keys its store index by them); a sketch-only legacy
-	// batch skips it and hands the (ignored) zero hash down.
-	skipHash := s.legacy != nil && gate == nil && report == nil
 	for off := 0; off < len(keys); off += BatchChunk {
 		end := off + BatchChunk
 		if end > len(keys) {
 			end = len(keys)
 		}
 		chunk := keys[off:end]
-		hs := hashes
-		if hs != nil {
+		var hs []uint64
+		if hashes != nil {
 			hs = hashes[off:end]
-		} else if !skipHash {
+		} else {
 			hs = s.HashBatch(chunk)
 		}
 		for ci, key := range chunk {
-			var h uint64
-			if hs != nil {
-				h = hs[ci]
-			}
+			h := hs[ci]
 			inHeap, nmin := true, uint32(0xffffffff)
 			if gate != nil {
 				inHeap, nmin = gate(off+ci, h)

@@ -150,17 +150,6 @@ type Stats struct {
 	Expansions   uint64 // arrays added by auto-expansion
 }
 
-// legacyV2 carries the per-array hash seeds of a sketch restored from a
-// version-2 snapshot. v2 writers placed flows with d+1 independent xxHash64
-// passes (one per array plus the fingerprint); those placements cannot be
-// reproduced by the one-hash derivation, so a restored sketch keeps hashing
-// the old way — correct, at the old d+1-hashes-per-packet cost. Freshly
-// constructed sketches never enter this mode.
-type legacyV2 struct {
-	seeds  []uint64 // per-array hash seed
-	fpSeed uint64   // fingerprint hash seed
-}
-
 // Sketch is a HeavyKeeper. Create one with New.
 type Sketch struct {
 	cfg  Config
@@ -176,13 +165,11 @@ type Sketch struct {
 	h2Seed  uint64
 	fpSeed  uint64
 
-	legacy  *legacyV2         // non-nil only after restoring a v2 snapshot
-	seedGen *xrand.SplitMix64 // source of legacy expansion seeds
-	rng     *xrand.Xorshift64Star
-	decay   decayTable
-	maxC    uint32 // counter saturation value
-	fpMask  uint32
-	stats   Stats
+	rng    *xrand.Xorshift64Star
+	decay  decayTable
+	maxC   uint32 // counter saturation value
+	fpMask uint32
+	stats  Stats
 	// overflow is the §III-F global counter since the last expansion.
 	overflow uint64
 	// pos is the per-insert scratch of flat cell positions, one per array;
@@ -214,7 +201,6 @@ func New(cfg Config) (*Sketch, error) {
 		pos:     make([]int, cfg.D),
 	}
 	s.rng = xrand.NewXorshift64Star(sm.Next())
-	s.seedGen = xrand.NewSplitMix64(sm.Next())
 	return s, nil
 }
 
@@ -273,14 +259,6 @@ func (s *Sketch) KeyHash(key []byte) uint64 { return hash.Sum64(s.keySeed, key) 
 // external structure keyed by old KeyHash values must be rebuilt.
 func (s *Sketch) KeySeed() uint64 { return s.keySeed }
 
-// LegacyHashing reports whether the sketch was restored from a v2 snapshot
-// and therefore places flows with the legacy per-array hashes, ignoring
-// KeyHash values. Callers that pay for KeyHash precomputation purely to
-// speed up placement can skip it in this mode; note that KeyHash itself
-// remains valid (the key seed survives a v2 restore), which is what lets
-// the topk store index keep working over a legacy sketch.
-func (s *Sketch) LegacyHashing() bool { return s.legacy != nil }
-
 // locateHash fills s.pos with key's flat cell position in every array,
 // derived from the single key hash h, and returns the positions and the
 // fingerprint. Indexes follow Kirsch–Mitzenmacher double hashing
@@ -300,64 +278,19 @@ func (s *Sketch) locateHash(h uint64) ([]int, uint32) {
 		h1 += h2
 		base += s.cfg.W
 	}
-	fp := uint32(hash.Mix(s.fpSeed, h)) & s.fpMask
-	if fp == 0 {
-		fp = 1
-	}
-	return pos, fp
-}
-
-// locateLegacy is locateHash for v2-restored sketches: placement and
-// fingerprint come from the snapshot's per-array seeds (d+1 key hashes).
-func (s *Sketch) locateLegacy(key []byte) ([]int, uint32) {
-	lg := s.legacy
-	d := s.d
-	if cap(s.pos) < d {
-		s.pos = make([]int, d)
-	}
-	pos := s.pos[:d]
-	base := 0
-	for j := range pos {
-		pos[j] = base + int(hash.Reduce(hash.Sum64(lg.seeds[j], key), s.w))
-		base += s.cfg.W
-	}
-	fp := uint32(hash.Sum64(lg.fpSeed, key)) & s.fpMask
-	if fp == 0 {
-		fp = 1
-	}
-	return pos, fp
-}
-
-// locateKey locates key with exactly one pass over its bytes (modern
-// sketches) or the legacy d+1 passes (v2-restored sketches).
-func (s *Sketch) locateKey(key []byte) ([]int, uint32) {
-	if s.legacy != nil {
-		return s.locateLegacy(key)
-	}
-	return s.locateHash(hash.Sum64(s.keySeed, key))
-}
-
-// locateFor locates key given its precomputed KeyHash h; v2-restored
-// sketches ignore h and re-hash with their legacy seeds.
-func (s *Sketch) locateFor(key []byte, h uint64) ([]int, uint32) {
-	if s.legacy != nil {
-		return s.locateLegacy(key)
-	}
-	return s.locateHash(h)
+	return pos, s.fingerprintOf(h)
 }
 
 // Fingerprint returns the sketch's fingerprint for key.
-func (s *Sketch) Fingerprint(key []byte) uint32 {
-	var fp uint32
-	if lg := s.legacy; lg != nil {
-		fp = uint32(hash.Sum64(lg.fpSeed, key)) & s.fpMask
-	} else {
-		fp = uint32(hash.Mix(s.fpSeed, hash.Sum64(s.keySeed, key))) & s.fpMask
+func (s *Sketch) Fingerprint(key []byte) uint32 { return s.fingerprintOf(s.KeyHash(key)) }
+
+// fingerprintOf derives the fingerprint from key hash h, remapped away from
+// 0, which marks an empty cell.
+func (s *Sketch) fingerprintOf(h uint64) uint32 {
+	if fp := uint32(hash.Mix(s.fpSeed, h)) & s.fpMask; fp != 0 {
+		return fp
 	}
-	if fp == 0 {
-		fp = 1
-	}
-	return fp
+	return 1
 }
 
 // shouldDecay performs one exponential-decay coin flip for counter value c.
@@ -385,13 +318,12 @@ func (s *Sketch) shouldDecay(c uint32) bool {
 // (§III-B/C): all d mapped buckets are processed with no top-k feedback.
 // It returns the sketch's estimate for key after the insertion.
 func (s *Sketch) InsertBasic(key []byte) uint32 {
-	pos, fp := s.locateKey(key)
-	return s.insertBasicAt(pos, fp)
+	return s.InsertBasicHashed(key, s.KeyHash(key))
 }
 
 // InsertBasicHashed is InsertBasic for a caller that precomputed KeyHash.
 func (s *Sketch) InsertBasicHashed(key []byte, h uint64) uint32 {
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.insertBasicAt(pos, fp)
 }
 
@@ -411,20 +343,19 @@ func (s *Sketch) insertBasicAt(pos []int, fp uint32) uint32 {
 // Algorithm 1's HeavyK_V: the estimate established by this insertion, and 0
 // if no bucket accepted the flow.
 func (s *Sketch) InsertParallel(key []byte, inHeap bool, nmin uint32) uint32 {
-	pos, fp := s.locateKey(key)
-	return s.insertParallelAt(pos, fp, inHeap, nmin)
+	return s.InsertParallelHashed(key, s.KeyHash(key), inHeap, nmin)
 }
 
 // InsertParallelHashed is InsertParallel for a caller that precomputed
 // KeyHash. Semantics, statistics and RNG consumption are identical to
-// InsertParallel(key, inHeap, nmin). The common shape — a modern sketch at
-// the default d = 2 — is located by Locate2 and enters the two-cell update
+// InsertParallel(key, inHeap, nmin). The common shape — a sketch at the
+// default d = 2 — is located by Locate2 and enters the two-cell update
 // body directly.
 func (s *Sketch) InsertParallelHashed(key []byte, h uint64, inHeap bool, nmin uint32) uint32 {
 	if l, ok := s.Locate2(h); ok {
 		return s.insertParallel2At(l.p0, l.p1, l.fp, inHeap, nmin)
 	}
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.insertParallelAt(pos, fp, inHeap, nmin)
 }
 
@@ -435,26 +366,22 @@ type Loc2 struct {
 	fp     uint32
 }
 
-// Locate2 derives key hash h's placement on the default shape, a modern
-// sketch with d = 2, in registers: the same positions and fingerprint
-// locateHash would produce, without the s.pos scratch round-trip. ok is
-// false for expanded (d != 2) and v2-restored sketches; their callers take
-// the general locate path. The placement stays valid until the next insert,
-// which may expand the sketch.
+// Locate2 derives key hash h's placement on the default shape, a sketch
+// with d = 2, in registers: the same positions and fingerprint locateHash
+// would produce, without the s.pos scratch round-trip. ok is false for
+// expanded (d != 2) sketches; their callers take the general locate path.
+// The placement stays valid until the next insert, which may expand the
+// sketch.
 func (s *Sketch) Locate2(h uint64) (l Loc2, ok bool) {
-	if s.legacy != nil || s.d != 2 {
+	if s.d != 2 {
 		return Loc2{}, false
 	}
 	h1 := hash.Mix(s.h1Seed, h)
 	h2 := hash.Mix(s.h2Seed, h) | 1
-	fp := uint32(hash.Mix(s.fpSeed, h)) & s.fpMask
-	if fp == 0 {
-		fp = 1
-	}
 	return Loc2{
 		p0: int(hash.Reduce(h1, s.w)),
 		p1: s.cfg.W + int(hash.Reduce(h1+h2, s.w)),
-		fp: fp,
+		fp: s.fingerprintOf(h),
 	}, true
 }
 
@@ -663,13 +590,12 @@ func (s *Sketch) insertParallel2At(p0, p1 int, fp uint32, inHeap bool, nmin uint
 //
 // The return value is Algorithm 2's HeavyK_V (0 when nothing was updated).
 func (s *Sketch) InsertMinimum(key []byte, inHeap bool, nmin uint32) uint32 {
-	pos, fp := s.locateKey(key)
-	return s.insertMinimumAt(pos, fp, inHeap, nmin)
+	return s.InsertMinimumHashed(key, s.KeyHash(key), inHeap, nmin)
 }
 
 // InsertMinimumHashed is InsertMinimum for a caller that precomputed KeyHash.
 func (s *Sketch) InsertMinimumHashed(key []byte, h uint64, inHeap bool, nmin uint32) uint32 {
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.insertMinimumAt(pos, fp, inHeap, nmin)
 }
 
@@ -747,13 +673,12 @@ func (s *Sketch) insertMinimumAt(pos []int, fp uint32, inHeap bool, nmin uint32)
 // among mapped buckets whose fingerprint matches (§III-B Query). A flow held
 // in no bucket reports 0 — "it is a mouse flow".
 func (s *Sketch) Query(key []byte) uint32 {
-	pos, fp := s.locateKey(key)
-	return s.queryAt(pos, fp)
+	return s.QueryHashed(key, s.KeyHash(key))
 }
 
 // QueryHashed is Query for a caller that precomputed KeyHash.
 func (s *Sketch) QueryHashed(key []byte, h uint64) uint32 {
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.queryAt(pos, fp)
 }
 
@@ -785,9 +710,6 @@ func (s *Sketch) noteBlocked(blocked bool) {
 	}
 	s.slab = append(s.slab, make([]uint64, s.cfg.W)...)
 	s.d++
-	if s.legacy != nil {
-		s.legacy.seeds = append(s.legacy.seeds, s.seedGen.Next())
-	}
 	s.overflow = 0
 	s.stats.Expansions++
 }

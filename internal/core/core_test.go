@@ -239,7 +239,7 @@ func (s *Sketch) snapshotBuckets() []uint64 {
 // indexOf returns key's bucket index within array j, for tests that need to
 // steer keys onto specific buckets.
 func (s *Sketch) indexOf(j int, key []byte) int {
-	pos, _ := s.locateKey(key)
+	pos, _ := s.locateHash(s.KeyHash(key))
 	return pos[j] - j*s.cfg.W
 }
 

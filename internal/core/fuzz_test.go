@@ -9,9 +9,9 @@ import (
 // FuzzDecode throws arbitrary byte streams at the snapshot decoder. The
 // contract: a frame either decodes into a usable sketch or fails with
 // ErrCorrupt — never a panic, never another error class, never a
-// pathological allocation. Both v2 (legacy per-array seeds) and v3 (packed
-// one-hash) frames are in the seed corpus, plus truncations and header
-// mutations of each.
+// pathological allocation. The seed corpus holds v3 (packed one-hash)
+// frames and v2 (per-array seed) frames, which must fail, plus
+// truncations and header mutations of each.
 func FuzzDecode(f *testing.F) {
 	v3 := func() []byte {
 		s := MustNew(Config{W: 8, Seed: 1})

@@ -2,26 +2,15 @@ package core
 
 import "fmt"
 
-// hashCompatible reports whether two sketches place flows identically: same
-// derivation seeds, and both on the same hashing scheme (modern one-hash or
-// legacy v2 per-array).
+// hashCompatible reports whether two sketches place flows identically and
+// encode cells the same way: same derivation seeds, and same fingerprint
+// and counter widths (a fingerprint masked to another width never matches,
+// and a wider counter would land above the receiver's saturation value).
 func (s *Sketch) hashCompatible(other *Sketch) bool {
-	if (s.legacy == nil) != (other.legacy == nil) {
-		return false
-	}
-	if s.legacy != nil {
-		if s.legacy.fpSeed != other.legacy.fpSeed || len(s.legacy.seeds) != len(other.legacy.seeds) {
-			return false
-		}
-		for j := range s.legacy.seeds {
-			if s.legacy.seeds[j] != other.legacy.seeds[j] {
-				return false
-			}
-		}
-		return true
-	}
 	return s.keySeed == other.keySeed && s.h1Seed == other.h1Seed &&
-		s.h2Seed == other.h2Seed && s.fpSeed == other.fpSeed
+		s.h2Seed == other.h2Seed && s.fpSeed == other.fpSeed &&
+		s.cfg.FingerprintBits == other.cfg.FingerprintBits &&
+		s.cfg.CounterBits == other.cfg.CounterBits
 }
 
 // Merge folds other into s, bucket by bucket. Both sketches must share the
@@ -55,7 +44,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 			s.d, s.cfg.W, other.d, other.cfg.W)
 	}
 	if !s.hashCompatible(other) {
-		return fmt.Errorf("core: merge hash-seed mismatch")
+		return fmt.Errorf("core: merge hash-seed or cell-width mismatch")
 	}
 	for i, b := range other.slab {
 		a := s.slab[i]

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/hash"
@@ -64,43 +63,4 @@ func TestOneHashPerBatchKey(t *testing.T) {
 			t.Errorf("%s: %d key hashes, want 0 (hash was precomputed)", name, got)
 		}
 	}
-}
-
-// TestLegacySketchHashesPerArray documents the v2-shim cost model: a sketch
-// restored from a v2 snapshot keeps the old placement and therefore the old
-// d+1 hashes per packet.
-func TestLegacySketchHashesPerArray(t *testing.T) {
-	s := legacySketch(t, Config{W: 64, Seed: 3}, 2)
-	d := uint64(s.D())
-	if got := countHashes(func() { s.InsertBasic(key(1)) }); got != d+1 {
-		t.Errorf("legacy InsertBasic: %d key hashes, want d+1 = %d", got, d+1)
-	}
-	if got := countHashes(func() { s.Query(key(1)) }); got != d+1 {
-		t.Errorf("legacy Query: %d key hashes, want d+1 = %d", got, d+1)
-	}
-	// A sketch-only batch (no gate/report consuming the hashes) must not
-	// waste a KeyHash pass the legacy placement would then discard. Batches
-	// driven through internal/topk do hash once per key regardless — the
-	// store index is keyed by KeyHash, which stays valid after a v2
-	// restore — putting those at d+2 passes per key.
-	stream := batchStream(500, 50, 4)
-	want := uint64(len(stream)) * (d + 1)
-	if got := countHashes(func() { s.AddBatch(stream) }); got != want {
-		t.Errorf("legacy AddBatch(%d keys): %d key hashes, want (d+1)·n = %d", len(stream), got, want)
-	}
-}
-
-// legacySketch builds a sketch in v2 compatibility mode by decoding an empty
-// v2 frame with the given array count.
-func legacySketch(t *testing.T, cfg Config, d int) *Sketch {
-	t.Helper()
-	s := MustNew(cfg)
-	frame := encodeV2Empty(d, s.W(), 99)
-	if _, err := s.ReadFrom(bytes.NewReader(frame)); err != nil {
-		t.Fatalf("decoding synthetic v2 frame: %v", err)
-	}
-	if s.legacy == nil {
-		t.Fatal("v2 decode did not enter legacy mode")
-	}
-	return s
 }

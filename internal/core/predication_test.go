@@ -87,7 +87,7 @@ func TestInsertParallelAtMatchesReference(t *testing.T) {
 				inHeap := r&(1<<40) != 0
 				nmin := uint32(r>>41) % 19
 				g := got.InsertParallel(k, inHeap, nmin)
-				pos, fp := want.locateKey(k)
+				pos, fp := want.locateHash(want.KeyHash(k))
 				w := insertParallelAtReference(want, pos, fp, inHeap, nmin)
 				if g != w {
 					t.Fatalf("packet %d (%s): estimate %d, reference %d", i, k, g, w)

@@ -6,17 +6,13 @@ import (
 	"io"
 )
 
-// Snapshot format versions. Version 2 (the per-array-seed era) stored one
-// hash seed per array plus a fingerprint seed and split (fp, counter) pairs;
-// version 3 stores the one-hash derivation seeds and the packed []uint64
-// cell slab verbatim. v3 is what WriteTo emits; ReadFrom decodes both — a v2
-// frame flips the restored sketch into legacy hashing mode (see legacyV2) so
-// the snapshot's bucket placements stay valid. v1 snapshots (modulo bucket
-// indexing) remain rejected.
-const (
-	snapshotV2      = 2
-	snapshotVersion = 3
-)
+// snapshotVersion is the sketch frame format: version 3 stores the one-hash
+// derivation seeds and the packed []uint64 cell slab verbatim. It is the
+// only version WriteTo emits and ReadFrom accepts; frames of earlier
+// versions (v1 indexed buckets modulo W, v2 hashed every array with its own
+// seed) place flows in ways the one-hash derivation cannot reproduce, so
+// they fail with ErrCorrupt.
+const snapshotVersion = 3
 
 // maxSnapshotArrays bounds the array count a snapshot may declare. Real
 // sketches hold a handful of arrays (expansion adds them one at a time, and
@@ -30,9 +26,7 @@ const maxSnapshotArrays = 1 << 12
 // WriteTo serializes the sketch's bucket contents and structural parameters
 // to w. Configuration closures (the decay function) are not serialized; the
 // reader must construct a sketch with the same Config and call ReadFrom.
-// The format is little-endian: version, d, w, seeds, then cells. A sketch
-// restored from a v2 snapshot re-encodes as v2, since its placements depend
-// on the legacy seeds.
+// The format is little-endian: version, d, w, seeds, then cells.
 func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	write := func(v any) error {
@@ -41,26 +35,6 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 		}
 		n += int64(binary.Size(v))
 		return nil
-	}
-	if lg := s.legacy; lg != nil {
-		header := []uint64{snapshotV2, uint64(s.d), uint64(s.cfg.W), lg.fpSeed}
-		for _, h := range header {
-			if err := write(h); err != nil {
-				return n, err
-			}
-		}
-		if err := write(lg.seeds); err != nil {
-			return n, err
-		}
-		for _, cell := range s.slab {
-			if err := write(cellFP(cell)); err != nil {
-				return n, err
-			}
-			if err := write(cellC(cell)); err != nil {
-				return n, err
-			}
-		}
-		return n, nil
 	}
 	header := []uint64{
 		snapshotVersion,
@@ -85,8 +59,7 @@ func (s *Sketch) WriteTo(w io.Writer) (int64, error) {
 // ReadFrom restores bucket contents and seeds previously written by WriteTo
 // into s. The receiving sketch must have been constructed with a matching W;
 // arrays are grown if the snapshot had expanded. The stored seeds replace
-// the receiver's so that queries hash identically to the snapshot's writer;
-// a v2 frame additionally switches the sketch to legacy per-array hashing.
+// the receiver's so that queries hash identically to the snapshot's writer.
 // Any malformed, truncated or oversized frame returns an error matching
 // ErrCorrupt (errors.Is), wrapping the underlying reader error when there
 // was one so transient I/O causes stay diagnosable — decoding never panics
@@ -118,36 +91,11 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 			return n, corrupt()
 		}
 	}
-	if version != snapshotVersion && version != snapshotV2 {
-		return n, corrupt()
+	if version != snapshotVersion {
+		return n, fmt.Errorf("%w: sketch frame version %d, want %d", ErrCorrupt, version, snapshotVersion)
 	}
 	if d == 0 || d > maxSnapshotArrays || w == 0 || int(w) != s.cfg.W {
 		return n, corrupt()
-	}
-
-	if version == snapshotV2 {
-		var fpSeed uint64
-		if !read(&fpSeed) {
-			return n, corrupt()
-		}
-		seeds := make([]uint64, d)
-		if !read(seeds) {
-			return n, corrupt()
-		}
-		slab := make([]uint64, 0, s.cfg.W)
-		pairs := make([]uint32, 2*s.cfg.W) // one row of (fp, c) pairs
-		for j := 0; j < int(d); j++ {
-			if !read(pairs) {
-				return n, corrupt()
-			}
-			for i := 0; i < s.cfg.W; i++ {
-				slab = append(slab, packCell(pairs[2*i], pairs[2*i+1]))
-			}
-		}
-		s.slab = slab
-		s.d = int(d)
-		s.legacy = &legacyV2{seeds: seeds, fpSeed: fpSeed}
-		return n, nil
 	}
 
 	var keySeed, h1Seed, h2Seed, fpSeed uint64
@@ -167,6 +115,5 @@ func (s *Sketch) ReadFrom(r io.Reader) (int64, error) {
 	s.slab = slab
 	s.d = int(d)
 	s.keySeed, s.h1Seed, s.h2Seed, s.fpSeed = keySeed, h1Seed, h2Seed, fpSeed
-	s.legacy = nil
 	return n, nil
 }

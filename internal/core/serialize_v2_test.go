@@ -11,8 +11,8 @@ import (
 
 // encodeV2Empty builds a syntactically valid, all-empty version-2 snapshot
 // frame: [version=2, d, w, fpSeed, seeds[d], d*w × (fp uint32, c uint32)],
-// little-endian, with seeds drawn from a SplitMix64 stream — exactly what
-// the PR 1 era WriteTo produced for a freshly constructed sketch.
+// little-endian, with seeds drawn from a SplitMix64 stream — the per-array
+// seed format that predates the one-hash derivation. ReadFrom rejects it.
 func encodeV2Empty(d, w int, seed uint64) []byte {
 	var buf bytes.Buffer
 	sm := xrand.NewSplitMix64(seed)
@@ -29,70 +29,20 @@ func encodeV2Empty(d, w int, seed uint64) []byte {
 	return buf.Bytes()
 }
 
-// TestSnapshotV2Shim: a v2 frame decodes into a working sketch — inserts,
-// queries and all three disciplines behave, estimates stay exact for a lone
-// flow — and re-encodes as v2 so its legacy placements round-trip.
-func TestSnapshotV2Shim(t *testing.T) {
-	cfg := Config{W: 64, Seed: 7}
-	s := legacySketch(t, cfg, 2)
-
-	rng := xrand.NewXorshift64Star(3)
-	for i := 0; i < 20000; i++ {
-		s.InsertBasic(key(int(rng.Uint64n(300))))
-	}
-	lone := key(100000)
-	for i := 0; i < 500; i++ {
-		s.InsertParallel(lone, true, 0)
-	}
-	if got := s.Query(lone); got != 500 {
-		t.Errorf("legacy-mode lone flow Query = %d want 500", got)
-	}
-
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo on legacy sketch: %v", err)
-	}
-	if v := binary.LittleEndian.Uint64(buf.Bytes()[:8]); v != 2 {
-		t.Fatalf("legacy sketch re-encoded as version %d, want 2", v)
-	}
-	restored := MustNew(cfg)
-	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	for i := 0; i < 300; i++ {
-		if a, b := s.Query(key(i)), restored.Query(key(i)); a != b {
-			t.Fatalf("flow %d: legacy original %d, restored %d", i, a, b)
-		}
-	}
-	if a, b := s.Query(lone), restored.Query(lone); a != b {
-		t.Fatalf("lone flow: legacy original %d, restored %d", a, b)
-	}
-}
-
-// TestSnapshotV2ShimMinimumAndWeighted drives the remaining disciplines
-// through a legacy-mode sketch so the shim's placement is exercised on every
-// path.
-func TestSnapshotV2ShimMinimumAndWeighted(t *testing.T) {
-	s := legacySketch(t, Config{W: 32, Seed: 9}, 2)
-	k := key(5)
-	for i := 0; i < 100; i++ {
-		s.InsertMinimum(k, true, 0)
-	}
-	if got := s.Query(k); got != 100 {
-		t.Errorf("legacy InsertMinimum lone flow = %d want 100", got)
-	}
-	s.InsertBasicN(k, 50)
-	if got := s.Query(k); got != 150 {
-		t.Errorf("legacy weighted insert = %d want 150", got)
-	}
-}
-
-// TestSnapshotV2Corrupt: malformed v2 frames must return ErrCorrupt, not
-// panic and not partially apply.
+// TestSnapshotV2Corrupt: version-2 frames, intact or malformed, must return
+// ErrCorrupt, not panic and not partially apply.
 func TestSnapshotV2Corrupt(t *testing.T) {
 	frame := encodeV2Empty(2, 8, 1)
 	s := MustNew(Config{W: 8, Seed: 1})
+	for i := 0; i < 200; i++ {
+		s.InsertBasic(key(i % 13))
+	}
+	var before bytes.Buffer
+	if _, err := s.WriteTo(&before); err != nil {
+		t.Fatal(err)
+	}
 	for name, mutate := range map[string]func([]byte) []byte{
+		"intact":           func(b []byte) []byte { return b },
 		"truncated-header": func(b []byte) []byte { return b[:12] },
 		"truncated-seeds":  func(b []byte) []byte { return b[:40] },
 		"truncated-cells":  func(b []byte) []byte { return b[:len(b)-5] },
@@ -115,8 +65,12 @@ func TestSnapshotV2Corrupt(t *testing.T) {
 		if _, err := s.ReadFrom(bytes.NewReader(mutate(frame))); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
-		if s.legacy != nil {
-			t.Fatalf("%s: failed decode left sketch in legacy mode", name)
+		var after bytes.Buffer
+		if _, err := s.WriteTo(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("%s: failed decode modified the receiver", name)
 		}
 	}
 }

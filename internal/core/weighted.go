@@ -57,11 +57,7 @@ func (s *Sketch) contested(p int, fp uint32, weight uint64) (remaining uint64, t
 // discipline and returns the post-insertion estimate. InsertBasicN(key, 1)
 // is equivalent to InsertBasic(key).
 func (s *Sketch) InsertBasicN(key []byte, n uint64) uint32 {
-	if n == 0 {
-		return s.Query(key)
-	}
-	pos, fp := s.locateKey(key)
-	return s.insertBasicNAt(pos, fp, n)
+	return s.InsertBasicNHashed(key, s.KeyHash(key), n)
 }
 
 // InsertBasicNHashed is InsertBasicN for a caller that precomputed KeyHash.
@@ -69,7 +65,7 @@ func (s *Sketch) InsertBasicNHashed(key []byte, h uint64, n uint64) uint32 {
 	if n == 0 {
 		return s.QueryHashed(key, h)
 	}
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.insertBasicNAt(pos, fp, n)
 }
 
@@ -111,11 +107,7 @@ func (s *Sketch) insertBasicNAt(pos []int, fp uint32, n uint64) uint32 {
 // flow's matching counter grows only while at or below nmin, and then by at
 // most the weight.
 func (s *Sketch) InsertParallelN(key []byte, inHeap bool, nmin uint32, n uint64) uint32 {
-	if n == 0 {
-		return s.Query(key)
-	}
-	pos, fp := s.locateKey(key)
-	return s.insertParallelNAt(pos, fp, inHeap, nmin, n)
+	return s.InsertParallelNHashed(key, s.KeyHash(key), inHeap, nmin, n)
 }
 
 // InsertParallelNHashed is InsertParallelN for a caller that precomputed
@@ -124,7 +116,7 @@ func (s *Sketch) InsertParallelNHashed(key []byte, h uint64, inHeap bool, nmin u
 	if n == 0 {
 		return s.QueryHashed(key, h)
 	}
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.insertParallelNAt(pos, fp, inHeap, nmin, n)
 }
 
@@ -174,11 +166,7 @@ func (s *Sketch) insertParallelNAt(pos []int, fp uint32, inHeap bool, nmin uint3
 // InsertMinimumN is the weighted Software Minimum insertion: at most one
 // bucket changes, as in the unit path.
 func (s *Sketch) InsertMinimumN(key []byte, inHeap bool, nmin uint32, n uint64) uint32 {
-	if n == 0 {
-		return s.Query(key)
-	}
-	pos, fp := s.locateKey(key)
-	return s.insertMinimumNAt(pos, fp, inHeap, nmin, n)
+	return s.InsertMinimumNHashed(key, s.KeyHash(key), inHeap, nmin, n)
 }
 
 // InsertMinimumNHashed is InsertMinimumN for a caller that precomputed
@@ -187,7 +175,7 @@ func (s *Sketch) InsertMinimumNHashed(key []byte, h uint64, inHeap bool, nmin ui
 	if n == 0 {
 		return s.QueryHashed(key, h)
 	}
-	pos, fp := s.locateFor(key, h)
+	pos, fp := s.locateHash(h)
 	return s.insertMinimumNAt(pos, fp, inHeap, nmin, n)
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -49,94 +48,4 @@ func Component(base *slog.Logger, name string) *slog.Logger {
 		return Discard()
 	}
 	return base.With(slog.String("component", name))
-}
-
-// LogfLogger adapts a legacy printf-style sink (the server and cluster
-// Config.Logf test seams) onto slog. Records are rendered as a single
-// "level=... msg k=v ..." line and passed to logf. All levels are
-// enabled; filtering is the sink's problem.
-func LogfLogger(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return Discard()
-	}
-	return slog.New(&logfHandler{logf: logf})
-}
-
-type logfHandler struct {
-	logf   func(format string, args ...any)
-	prefix string // pre-rendered " k=v" attrs from WithAttrs
-	group  string // dotted group prefix from WithGroup
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var b strings.Builder
-	b.Grow(64)
-	b.WriteString("level=")
-	b.WriteString(r.Level.String())
-	b.WriteString(" msg=")
-	b.WriteString(quoteIfNeeded(r.Message))
-	b.WriteString(h.prefix)
-	r.Attrs(func(a slog.Attr) bool {
-		appendAttr(&b, h.group, a)
-		return true
-	})
-	h.logf("%s", b.String())
-	return nil
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	var b strings.Builder
-	b.WriteString(h.prefix)
-	for _, a := range attrs {
-		appendAttr(&b, h.group, a)
-	}
-	return &logfHandler{logf: h.logf, prefix: b.String(), group: h.group}
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	g := h.group
-	if g != "" {
-		g += "."
-	}
-	return &logfHandler{logf: h.logf, prefix: h.prefix, group: g + name}
-}
-
-func appendAttr(b *strings.Builder, group string, a slog.Attr) {
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	v := a.Value.Resolve()
-	if v.Kind() == slog.KindGroup {
-		g := group
-		if a.Key != "" {
-			if g != "" {
-				g += "."
-			}
-			g += a.Key
-		}
-		for _, ga := range v.Group() {
-			appendAttr(b, g, ga)
-		}
-		return
-	}
-	b.WriteByte(' ')
-	if group != "" {
-		b.WriteString(group)
-		b.WriteByte('.')
-	}
-	b.WriteString(a.Key)
-	b.WriteByte('=')
-	b.WriteString(quoteIfNeeded(v.String()))
-}
-
-func quoteIfNeeded(s string) string {
-	if strings.ContainsAny(s, " \t\n\"=") || s == "" {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -53,31 +51,6 @@ func TestNewLoggerLevelsAndFormats(t *testing.T) {
 func TestComponentNilBase(t *testing.T) {
 	lg := Component(nil, "anything")
 	lg.Info("must not panic")
-}
-
-func TestLogfLogger(t *testing.T) {
-	var lines []string
-	lg := LogfLogger(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	Component(lg, "snapshot").With("gen", 3).Info("persisted", "bytes", 4096, "path", "/tmp/x y")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	line := lines[0]
-	for _, want := range []string{"level=INFO", "msg=persisted", "component=snapshot", "gen=3", "bytes=4096", `path="/tmp/x y"`} {
-		if !strings.Contains(line, want) {
-			t.Errorf("line %q missing %q", line, want)
-		}
-	}
-	// Groups flatten to dotted keys.
-	lines = nil
-	lg.WithGroup("http").Info("req", slog.Int("status", 200))
-	if !strings.Contains(lines[0], "http.status=200") {
-		t.Errorf("grouped attr not dotted: %q", lines[0])
-	}
-	// Nil sink must not panic.
-	LogfLogger(nil).Info("dropped")
 }
 
 func TestRequestIDs(t *testing.T) {

@@ -103,6 +103,16 @@ func TestMergeFromErrors(t *testing.T) {
 	if err := a.MergeFrom(b); err == nil {
 		t.Fatal("merge across seeds must fail")
 	}
+	// Same seeds, different cell encoding: a fingerprint masked to another
+	// width never matches, and a wider counter overflows the receiver.
+	for name, cfg := range map[string]core.Config{
+		"fingerprint-bits": {W: 64, Seed: 1, FingerprintBits: 8},
+		"counter-bits":     {W: 64, Seed: 1, CounterBits: 16},
+	} {
+		if err := a.MergeFrom(MustNew(Options{K: 4, Sketch: cfg})); err == nil {
+			t.Errorf("merge across %s must fail", name)
+		}
+	}
 }
 
 // TestOpenStoreMatchesRefStore is the tracker-level differential test for

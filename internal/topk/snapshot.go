@@ -11,9 +11,8 @@ import (
 )
 
 // Tracker snapshot format. The tracker section rides the sketch's own v3
-// (or legacy v2) frame unchanged and wraps it, together with the
-// structural options and the top-k store contents, in a small framed
-// container:
+// frame unchanged and wraps it, together with the structural options and
+// the top-k store contents, in a small framed container:
 //
 //	u8   section version (1)
 //	u8   insertion discipline (Version)

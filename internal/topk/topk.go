@@ -331,8 +331,8 @@ func (t *Tracker) insertHashed(key []byte, h uint64) {
 //
 // So the packet takes flag = false without a probe. A store that is not
 // full admits any estimate, and with n_min = 0 an estimate of 1 admits, so
-// both always probe. Expanded and v2-restored sketches, and the Minimum
-// discipline, probe every packet. Results are bit-identical to the generic
+// both always probe. Expanded sketches (d != 2) and the Minimum discipline
+// probe every packet. Results are bit-identical to the generic
 // path; FuzzProbeGate and the equivalence tests pin that.
 func (t *Tracker) insertHashedSummary(ss *streamsummary.Summary, key []byte, h uint64) {
 	full := ss.Len() >= t.opts.K
@@ -546,8 +546,7 @@ func (t *Tracker) insertBatch(keys [][]byte, hashes []uint64) {
 // the sequential path uses, so the admission rule lives in one place — with
 // no gate/report closures in between. hashes, when non-nil, carries the
 // caller's precomputed KeyHash per key; otherwise each chunk is hashed once
-// here in one tight loop (on a v2-restored sketch too — the legacy
-// placement ignores the value, but the store index is keyed by it).
+// here in one tight loop.
 //
 // There is no prefetch pass ahead of the apply loop: most low-skew packets
 // skip the store probe, and touching every key's home store slot first

@@ -276,8 +276,8 @@ func configFromTrackerOptions(o topk.Options) config {
 // All integers are little-endian. The whole-stream checksum in the
 // terminator catches frame splicing and reordering that per-frame
 // checksums alone would miss; bytes after the terminator are rejected.
-// ReadSnapshot also accepts a bare legacy container (no envelope), so
-// snapshots written before the envelope existed keep restoring.
+// ReadSnapshot and VerifySnapshot accept nothing else: a bare container
+// (no envelope) is rejected as ErrCorrupt.
 const (
 	// snapshotChunkSize is the chunk granularity WriteSnapshot emits; a
 	// torn tail costs at most one chunk of re-checksummed reads to detect.
@@ -387,19 +387,49 @@ func (cw *chunkedWriter) finish() error {
 // streaming a stored snapshot to a remote reader (the cluster aggregator's
 // GET /snapshot path): a torn or corrupted generation fails here, in
 // constant memory, instead of being shipped and rejected at the far end.
-// A legacy bare container (no envelope) fails verification; callers that
-// still accept those fall back to a full ReadSnapshot. All failures match
-// ErrCorrupt.
+// A bare WriteTo container (no envelope) fails verification. All failures
+// match ErrCorrupt.
 func VerifySnapshot(r io.Reader) error {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	return readEnvelope(r, func([]byte) {})
+}
+
+// ReadSnapshot restores a summarizer from a WriteSnapshot envelope. Every
+// frame checksum, the whole-stream checksum, the terminator and the
+// absence of trailing bytes are verified before the container is decoded,
+// so a torn or corrupted snapshot is rejected (ErrCorrupt) rather than
+// partially restored. A bare WriteTo container is rejected too; decode
+// those with ReadSummarizer.
+func ReadSnapshot(r io.Reader) (Summarizer, error) {
+	var payload bytes.Buffer
+	if err := readEnvelope(r, func(chunk []byte) { payload.Write(chunk) }); err != nil {
+		return nil, err
+	}
+	body := bytes.NewReader(payload.Bytes())
+	sum, err := ReadSummarizer(body)
+	if err != nil {
+		return nil, err
+	}
+	if body.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after container end", ErrCorrupt, body.Len())
+	}
+	return sum, nil
+}
+
+// readEnvelope reads one WriteSnapshot envelope from r and hands each
+// frame's chunk to fn once that frame's checksum verifies; the chunk is
+// valid only during the call. It returns nil only when the magic, every
+// chunk bound and frame checksum, the whole-stream checksum and the
+// terminator all check out and no bytes follow the terminator. Every
+// failure matches ErrCorrupt.
+func readEnvelope(r io.Reader, fn func(chunk []byte)) error {
+	var word [4]byte
+	if _, err := io.ReadFull(r, word[:]); err != nil {
 		return fmt.Errorf("%w: reading envelope magic: %w", ErrCorrupt, err)
 	}
-	if head != envelopeMagic {
+	if word != envelopeMagic {
 		return fmt.Errorf("%w: not a checksummed snapshot envelope", ErrCorrupt)
 	}
 	crc := crc32.Checksum(nil, crcTable)
-	var word [4]byte
 	var chunk []byte
 	for {
 		if _, err := io.ReadFull(r, word[:]); err != nil {
@@ -407,6 +437,7 @@ func VerifySnapshot(r io.Reader) error {
 		}
 		length := binary.LittleEndian.Uint32(word[:])
 		if length == 0 {
+			// Terminator: whole-stream CRC, then clean EOF.
 			if _, err := io.ReadFull(r, word[:]); err != nil {
 				return fmt.Errorf("%w: reading stream checksum: %w", ErrCorrupt, err)
 			}
@@ -435,68 +466,6 @@ func VerifySnapshot(r io.Reader) error {
 			return fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
 		}
 		crc = crc32.Update(crc, crcTable, chunk)
+		fn(chunk)
 	}
-}
-
-// ReadSnapshot restores a summarizer from a WriteSnapshot envelope. Every
-// frame checksum, the whole-stream checksum, the terminator and the
-// absence of trailing bytes are verified before the container is decoded,
-// so a torn or corrupted snapshot is rejected (ErrCorrupt) rather than
-// partially restored. A stream that does not start with the envelope
-// magic is decoded as a bare legacy WriteTo container.
-func ReadSnapshot(r io.Reader) (Summarizer, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading envelope magic: %w", ErrCorrupt, err)
-	}
-	if head != envelopeMagic {
-		// Legacy bare container: re-prepend the sniffed bytes.
-		return ReadSummarizer(io.MultiReader(bytes.NewReader(head[:]), r))
-	}
-	var payload bytes.Buffer
-	crc := crc32.Checksum(nil, crcTable)
-	var word [4]byte
-	for {
-		if _, err := io.ReadFull(r, word[:]); err != nil {
-			return nil, fmt.Errorf("%w: reading frame length: %w", ErrCorrupt, err)
-		}
-		length := binary.LittleEndian.Uint32(word[:])
-		if length == 0 {
-			// Terminator: whole-stream CRC, then clean EOF.
-			if _, err := io.ReadFull(r, word[:]); err != nil {
-				return nil, fmt.Errorf("%w: reading stream checksum: %w", ErrCorrupt, err)
-			}
-			if got := binary.LittleEndian.Uint32(word[:]); got != crc {
-				return nil, fmt.Errorf("%w: stream checksum mismatch (%#x != %#x)", ErrCorrupt, got, crc)
-			}
-			if n, _ := r.Read(word[:1]); n != 0 {
-				return nil, fmt.Errorf("%w: trailing bytes after terminator", ErrCorrupt)
-			}
-			break
-		}
-		if length > maxSnapshotChunk {
-			return nil, fmt.Errorf("%w: frame declares %d bytes (max %d)", ErrCorrupt, length, maxSnapshotChunk)
-		}
-		chunkStart := payload.Len()
-		if _, err := io.CopyN(&payload, r, int64(length)); err != nil {
-			return nil, fmt.Errorf("%w: reading frame payload: %w", ErrCorrupt, err)
-		}
-		chunk := payload.Bytes()[chunkStart:]
-		if _, err := io.ReadFull(r, word[:]); err != nil {
-			return nil, fmt.Errorf("%w: reading frame checksum: %w", ErrCorrupt, err)
-		}
-		if got := binary.LittleEndian.Uint32(word[:]); got != crc32.Checksum(chunk, crcTable) {
-			return nil, fmt.Errorf("%w: frame checksum mismatch", ErrCorrupt)
-		}
-		crc = crc32.Update(crc, crcTable, chunk)
-	}
-	body := bytes.NewReader(payload.Bytes())
-	sum, err := ReadSummarizer(body)
-	if err != nil {
-		return nil, err
-	}
-	if body.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after container end", ErrCorrupt, body.Len())
-	}
-	return sum, nil
 }

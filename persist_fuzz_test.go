@@ -7,8 +7,8 @@ import (
 )
 
 // fuzzSnapshotCorpus builds the seed corpus for FuzzSnapshotRead: one
-// valid checksummed envelope per frontend kind, a legacy bare container,
-// and structured corruptions of each (truncations, bit flips, bad magic)
+// valid checksummed envelope per frontend kind, a bare WriteTo container
+// (which must be rejected), and structured corruptions of each (truncations, bit flips, bad magic)
 // so the fuzzer starts at the interesting boundaries instead of having
 // to rediscover the format.
 func fuzzSnapshotCorpus(f *testing.F) {
@@ -37,7 +37,7 @@ func fuzzSnapshotCorpus(f *testing.F) {
 		if _, err := s.(SnapshotWriter).WriteTo(&buf); err != nil {
 			f.Fatalf("WriteTo: %v", err)
 		}
-		add(buf.Bytes()) // legacy bare container
+		add(buf.Bytes()) // bare container: no envelope, so rejected
 	}
 	add([]byte("HKC1"))
 	add([]byte("HKC1\x00\x00\x00\x00\x00\x00\x00\x00"))
@@ -47,8 +47,9 @@ func fuzzSnapshotCorpus(f *testing.F) {
 
 // FuzzSnapshotRead holds the checksummed-envelope decoder to its
 // contract: never panic, reject every malformed input as ErrCorrupt (or
-// ErrSnapshotUnsupported is impossible on read), and restore accepted
-// inputs into a summarizer that can re-snapshot itself.
+// ErrSnapshotUnsupported is impossible on read), accept only envelopes that
+// VerifySnapshot also passes, and restore accepted inputs into a
+// summarizer that can re-snapshot itself.
 func FuzzSnapshotRead(f *testing.F) {
 	fuzzSnapshotCorpus(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -58,6 +59,12 @@ func FuzzSnapshotRead(f *testing.F) {
 				t.Fatalf("non-ErrCorrupt failure: %v", err)
 			}
 			return
+		}
+		if !bytes.HasPrefix(data, envelopeMagic[:]) {
+			t.Fatalf("accepted an input without the envelope magic")
+		}
+		if err := VerifySnapshot(bytes.NewReader(data)); err != nil {
+			t.Fatalf("ReadSnapshot accepted what VerifySnapshot rejects: %v", err)
 		}
 		// Accepted input: the restored summarizer must be serviceable and
 		// re-serializable through the checksummed envelope.

@@ -335,8 +335,9 @@ func TestChecksummedSnapshotBitFlips(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotLegacyContainer: a bare WriteTo container (the
-// pre-envelope on-disk format) still restores through ReadSnapshot.
+// TestReadSnapshotLegacyContainer: a bare WriteTo container (no envelope)
+// is not a snapshot. ReadSnapshot and VerifySnapshot both reject it, while
+// ReadSummarizer, WriteTo's own reader, still decodes it.
 func TestReadSnapshotLegacyContainer(t *testing.T) {
 	orig := MustNew(10, WithSeed(5), WithConcurrency())
 	ingestZipfish(orig, 300, 10000)
@@ -344,9 +345,15 @@ func TestReadSnapshotLegacyContainer(t *testing.T) {
 	if _, err := orig.(SnapshotWriter).WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	restored, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadSnapshot of a bare container: got %v, want ErrCorrupt", err)
+	}
+	if err := VerifySnapshot(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("VerifySnapshot of a bare container: got %v, want ErrCorrupt", err)
+	}
+	restored, err := ReadSummarizer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadSnapshot (legacy): %v", err)
+		t.Fatalf("ReadSummarizer: %v", err)
 	}
 	summarizersEqual(t, orig, restored, persistProbes())
 }
@@ -380,8 +387,7 @@ func TestVerifySnapshot(t *testing.T) {
 	if err := VerifySnapshot(bytes.NewReader(append(append([]byte(nil), raw...), 0x00))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("trailing byte: got %v, want ErrCorrupt", err)
 	}
-	// A legacy bare container has no envelope to verify; callers fall back
-	// to a full ReadSnapshot for those.
+	// A bare container has no envelope to verify.
 	var bare bytes.Buffer
 	if _, err := orig.(SnapshotWriter).WriteTo(&bare); err != nil {
 		t.Fatal(err)

@@ -167,12 +167,8 @@ type Config struct {
 	Info map[string]string
 	// Logger receives structured operational logs. The server derives
 	// component-scoped children (component=server|snapshot|tenant) from
-	// it. Nil falls back to Logf; when both are nil logs are discarded.
+	// it. Nil discards them.
 	Logger *slog.Logger
-	// Logf receives printf-style log lines when Logger is nil — the
-	// legacy seam the test harnesses hook. Structured records are
-	// rendered onto it as "level=... msg=... k=v" lines.
-	Logf func(format string, args ...any)
 	// RestoreDuration, when positive, is how long the pre-start snapshot
 	// restore took (cmd/hkd times LoadSnapshot before the server exists)
 	// and is recorded as one observation in the snapshot-load latency
@@ -420,19 +416,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: snapshot store: %w", err)
 		}
 	}
-	base := cfg.Logger
-	if base == nil {
-		base = obs.LogfLogger(cfg.Logf) // discards when Logf is nil too
-	}
 	sobs := newServerObs()
 	if cfg.RestoreDuration > 0 {
 		sobs.snapLoad.Observe(cfg.RestoreDuration)
 	}
 	return &Server{
 		cfg:          cfg,
-		log:          obs.Component(base, "server"),
-		snapLog:      obs.Component(base, "snapshot"),
-		tenantLog:    obs.Component(base, "tenant"),
+		log:          obs.Component(cfg.Logger, "server"),
+		snapLog:      obs.Component(cfg.Logger, "snapshot"),
+		tenantLog:    obs.Component(cfg.Logger, "tenant"),
 		obs:          sobs,
 		conns:        map[*ingestConn]struct{}{},
 		sem:          make(chan struct{}, cfg.MaxInflight),

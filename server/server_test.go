@@ -359,6 +359,22 @@ func TestLoadSnapshotMissingFile(t *testing.T) {
 	if err != nil || sum != nil {
 		t.Fatalf("missing file: got (%v, %v), want (nil, nil)", sum, err)
 	}
+	// A valid envelope at the path itself is not a generation: with no
+	// generations on disk there is nothing to restore.
+	path := filepath.Join(t.TempDir(), "hkd.snap")
+	src := heavykeeper.MustNew(5, heavykeeper.WithSeed(1))
+	src.AddBatch(testKeys(500))
+	var buf bytes.Buffer
+	if _, err := heavykeeper.WriteSnapshot(&buf, src.(heavykeeper.SnapshotWriter)); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum, err = LoadSnapshot(path)
+	if err != nil || sum != nil {
+		t.Fatalf("envelope at the base path: got (%v, %v), want (nil, nil)", sum, err)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -788,8 +804,8 @@ func TestSnapshotGenerations(t *testing.T) {
 	}
 	assertRestores(stateA)
 
-	// Every generation corrupt and no legacy file: restore must fail
-	// loudly rather than start empty.
+	// Every generation corrupt: restore must fail loudly rather than start
+	// empty.
 	if err := os.WriteFile(gens[1].path, raw[:8], 0o644); err != nil {
 		t.Fatalf("truncate older gen: %v", err)
 	}

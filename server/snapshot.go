@@ -190,13 +190,12 @@ func syncDir(dir string) error {
 	return err
 }
 
-// LoadSnapshot restores a summarizer from the snapshot state rooted at
-// path: it walks generation files newest to oldest, skipping corrupt or
-// torn ones (a crash mid-write must never block restart), then falls
-// back to a legacy single-file snapshot at path itself. The restored
-// summarizer is wrapped for concurrent serving. Returns (nil, nil) when
-// nothing exists to restore, and an error only when snapshot state
-// exists but none of it is intact.
+// LoadSnapshot restores a summarizer from the snapshot generations rooted
+// at path (path.g<seq>): it walks them newest to oldest, skipping corrupt
+// or torn ones (a crash mid-write must never block restart). A file at path
+// itself is not a generation and is not read. The restored summarizer is
+// wrapped for concurrent serving. Returns (nil, nil) when no generation
+// exists, and an error only when generations exist but none is intact.
 func LoadSnapshot(path string) (heavykeeper.Summarizer, error) {
 	gens, err := (&genStore{base: path}).generations()
 	if err != nil {
@@ -212,22 +211,13 @@ func LoadSnapshot(path string) (heavykeeper.Summarizer, error) {
 			firstErr = fmt.Errorf("%s: %w", gen.path, err)
 		}
 	}
-	sum, err := readSnapshotFile(path)
-	switch {
-	case err == nil:
-		return heavykeeper.Synchronized(sum), nil
-	case errors.Is(err, os.ErrNotExist):
-		if firstErr != nil {
-			return nil, fmt.Errorf("server: no intact snapshot generation (%d on disk, newest failure: %w)", len(gens), firstErr)
-		}
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("server: restoring snapshot %s: %w", path, err)
+	if firstErr != nil {
+		return nil, fmt.Errorf("server: no intact snapshot generation (%d on disk, newest failure: %w)", len(gens), firstErr)
 	}
+	return nil, nil
 }
 
-// readSnapshotFile restores one snapshot file (checksummed envelope or
-// legacy bare container).
+// readSnapshotFile restores one snapshot generation file.
 func readSnapshotFile(path string) (heavykeeper.Summarizer, error) {
 	f, err := os.Open(path)
 	if err != nil {

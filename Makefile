@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race bench bench-smoke bench-json bench-compare bench-ab docs-lint fuzz-smoke throughput examples algo-smoke hkd-smoke chaos-smoke cluster-smoke sdk-smoke obs-smoke
+.PHONY: build vet fmt test race bench bench-smoke bench-compare bench-ab docs-lint fuzz-smoke examples algo-smoke hkd-smoke chaos-smoke cluster-smoke sdk-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -32,14 +32,6 @@ bench:
 # benchmark just proves the perf paths still run (and report allocs).
 bench-smoke:
 	$(GO) test -run=NONE -bench=Ingest -benchtime=10x .
-
-# bench-json emits the machine-readable throughput rows used for the BENCH_*
-# trend files committed per perf PR. Each run is one standalone JSON document,
-# written to its own file so the output stays parseable.
-bench-json:
-	$(GO) run ./cmd/hkbench -throughput -shards 1 -batch 256 -json > bench-1shard.json
-	$(GO) run ./cmd/hkbench -throughput -shards 4 -batch 256 -json > bench-4shard.json
-	@echo "wrote bench-1shard.json and bench-4shard.json"
 
 # bench-compare runs the smoke benchmarks against a baseline git ref (BASE,
 # default HEAD) in a temporary worktree and diffs the results: benchstat when
@@ -117,9 +109,6 @@ fuzz-smoke:
 	$(GO) test ./wire -run=NONE -fuzz=FuzzWireDecode -fuzztime=10s
 	$(GO) test ./wire -run=NONE -fuzz=FuzzReportDecode -fuzztime=10s
 	$(GO) test . -run=NONE -fuzz=FuzzSnapshotRead -fuzztime=10s
-
-throughput:
-	$(GO) run ./cmd/hkbench -throughput
 
 # examples builds and runs every program under examples/ (CI runs this
 # target, so the README's entry points can never rot).

@@ -129,7 +129,6 @@ func BenchmarkAblationDecayFunctions(b *testing.B) { benchAblation(b, "decay-fun
 func BenchmarkAblationDepth(b *testing.B)          { benchAblation(b, "depth") }
 func BenchmarkAblationFingerprint(b *testing.B)    { benchAblation(b, "fingerprint-bits") }
 func BenchmarkAblationOptimizations(b *testing.B)  { benchAblation(b, "optimizations") }
-func BenchmarkAblationStore(b *testing.B)          { benchAblation(b, "store") }
 func BenchmarkAblationExpansion(b *testing.B)      { benchAblation(b, "expansion") }
 
 // ---------------------------------------------------------------------------

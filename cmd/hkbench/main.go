@@ -67,7 +67,6 @@ func run() int {
 		batch      = flag.Int("batch", 256, "batch size for the batched ingest variants of -throughput")
 		algo       = flag.String("algo", heavykeeper.AlgorithmHeavyKeeper, "registered algorithm backing the -throughput frontends (-list-algos to enumerate)")
 		listAlgos  = flag.Bool("list-algos", false, "list registered algorithm names, one per line")
-		store      = flag.String("store", "open", "top-k store index for -throughput: open (open-addressed) or map (retained reference)")
 		jsonOut    = flag.Bool("json", false, "emit -throughput results as JSON (for BENCH_*.json trend files)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -160,7 +159,7 @@ func run() int {
 	}
 
 	if *throughput {
-		if err := runThroughput(*shards, *batch, *scale, *seed, *algo, *store, *jsonOut); err != nil {
+		if err := runThroughput(*shards, *batch, *scale, *seed, *algo, *jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -245,7 +244,6 @@ type throughputReport struct {
 	Batch      int                `json:"batch"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	Algo       string             `json:"algo"`
-	Store      string             `json:"store"`
 	Results    []throughputResult `json:"results"`
 	StoreIndex []storeIndexReport `json:"store_index,omitempty"`
 }
@@ -256,21 +254,12 @@ type throughputReport struct {
 // with s shards and s writers (per-packet and batched). The speedup column
 // is relative to per-packet Concurrent, the paper-era default. algo selects
 // the backing engine from the public registry, so every registered
-// algorithm gets the same three-frontend comparison. store selects the
-// top-k store index: "open" (the open-addressed default) or "map" (the
-// retained reference), making the PR 3 index swap measurable from the CLI.
-func runThroughput(shards, batch int, scale float64, seed uint64, algo, store string, jsonOut bool) error {
+// algorithm gets the same three-frontend comparison.
+func runThroughput(shards, batch int, scale float64, seed uint64, algo string, jsonOut bool) error {
 	if shards < 1 || batch < 1 {
 		return fmt.Errorf("hkbench: -shards and -batch must be >= 1")
 	}
 	opts := []heavykeeper.Option{heavykeeper.WithAlgorithm(algo)}
-	switch store {
-	case "open":
-	case "map":
-		opts = append(opts, heavykeeper.WithMapStore())
-	default:
-		return fmt.Errorf("hkbench: -store must be open or map, got %q", store)
-	}
 	tr, err := gen.Generate(gen.Synthetic(1.0, seed).Scale(scale))
 	if err != nil {
 		return err
@@ -279,11 +268,11 @@ func runThroughput(shards, batch int, scale float64, seed uint64, algo, store st
 	tr.ForEach(func(key []byte) { keys = append(keys, key) })
 	report := throughputReport{
 		Packets: len(keys), Flows: tr.Flows(), Shards: shards, Batch: batch,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Algo: algo, Store: store,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), Algo: algo,
 	}
 	if !jsonOut {
-		fmt.Printf("throughput: %d packets, %d flows, %d shards/goroutines, batch %d, algo %s, store %s, GOMAXPROCS %d\n\n",
-			len(keys), tr.Flows(), shards, batch, algo, store, runtime.GOMAXPROCS(0))
+		fmt.Printf("throughput: %d packets, %d flows, %d shards/goroutines, batch %d, algo %s, GOMAXPROCS %d\n\n",
+			len(keys), tr.Flows(), shards, batch, algo, runtime.GOMAXPROCS(0))
 	}
 
 	const k = 100

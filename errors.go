@@ -28,9 +28,8 @@ var (
 	// ErrInvalidWindow is returned for a NewWindow size below 2.
 	ErrInvalidWindow = errors.New("heavykeeper: window size must be >= 2")
 	// ErrOptionConflict is returned when mutually exclusive options are
-	// combined (WithWidth+WithMemory, WithMinHeap+WithMapStore,
-	// WithShards+WithConcurrency, or HeavyKeeper-specific options with a
-	// non-HeavyKeeper WithAlgorithm).
+	// combined (WithWidth+WithMemory, WithShards+WithConcurrency, or
+	// HeavyKeeper-specific options with a non-HeavyKeeper WithAlgorithm).
 	ErrOptionConflict = errors.New("heavykeeper: conflicting options")
 	// ErrUnknownAlgorithm is returned when WithAlgorithm (or BuildEngine)
 	// names an algorithm absent from the registry.

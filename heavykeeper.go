@@ -97,8 +97,6 @@ type config struct {
 	version         Version
 	versionSet      bool
 	seed            uint64
-	useHeap         bool
-	useMapStore     bool
 	expandThreshold uint64
 	maxArrays       int
 	shards          int
@@ -208,30 +206,6 @@ func WithSeed(seed uint64) Option {
 	}
 }
 
-// WithMinHeap stores the top-k candidates in a binary min-heap instead of
-// the default Stream-Summary (paper §III-C uses Stream-Summary for O(1)
-// updates; the heap trades that for lower constant memory).
-func WithMinHeap() Option {
-	return func(c *config) error {
-		c.useHeap = true
-		c.hkOnly = append(c.hkOnly, "WithMinHeap")
-		return nil
-	}
-}
-
-// WithMapStore stores the top-k candidates in the retained map-indexed
-// Stream-Summary instead of the default open-addressed one. The two are
-// behaviorally identical — the map variant exists as a differential-testing
-// reference and as hkbench's -store=map baseline, so the index swap stays
-// measurable; there is no reason to choose it in production.
-func WithMapStore() Option {
-	return func(c *config) error {
-		c.useMapStore = true
-		c.hkOnly = append(c.hkOnly, "WithMapStore")
-		return nil
-	}
-}
-
 // WithExpansion enables the paper's §III-F auto-expansion: after threshold
 // arrivals that found every mapped bucket saturated by a large counter, an
 // additional bucket array is appended (up to maxArrays; 0 = unlimited).
@@ -273,8 +247,8 @@ func WithConcurrency() Option {
 // "heavykeeper"). Any registered engine works under any frontend; see
 // Algorithms for the available names and RegisterAlgorithm to add one.
 // HeavyKeeper-specific options (WithWidth, WithDepth, WithDecayBase,
-// WithFingerprintBits, WithVersion, WithMinHeap, WithMapStore,
-// WithExpansion) conflict with non-HeavyKeeper algorithms.
+// WithFingerprintBits, WithVersion, WithExpansion) conflict with
+// non-HeavyKeeper algorithms.
 func WithAlgorithm(name string) Option {
 	return func(c *config) error {
 		if name == "" {
@@ -315,9 +289,6 @@ func parseConfig(k int, opts []Option) (config, error) {
 	}
 	if cfg.width != 0 && cfg.memoryBytes != 0 {
 		return config{}, fmt.Errorf("%w: WithWidth and WithMemory are mutually exclusive", ErrOptionConflict)
-	}
-	if cfg.useHeap && cfg.useMapStore {
-		return config{}, fmt.Errorf("%w: WithMinHeap and WithMapStore are mutually exclusive", ErrOptionConflict)
 	}
 	if cfg.shards != 0 && cfg.concurrent {
 		return config{}, fmt.Errorf("%w: WithShards and WithConcurrency are mutually exclusive", ErrOptionConflict)
@@ -385,16 +356,9 @@ func trackerOptions(k int, cfg config) topk.Options {
 	case VersionBasic:
 		v = topk.Basic
 	}
-	store := topk.StoreSummary
-	if cfg.useHeap {
-		store = topk.StoreHeap
-	} else if cfg.useMapStore {
-		store = topk.StoreSummaryRef
-	}
 	return topk.Options{
 		K:       k,
 		Version: v,
-		Store:   store,
 		Sketch: core.Config{
 			D:               cfg.depth,
 			W:               width,
@@ -685,18 +649,12 @@ type StoreIndexStats struct {
 }
 
 // StoreIndexStats reports the top-k store's index occupancy and probe
-// lengths. ok is false when no stats are surfaced for the configured store:
-// WithMapStore has no open-addressed index at all, WithMinHeap's index (the
-// heap has one too) is not currently reported, and registry engines manage
-// their own stores.
+// lengths. ok is false for registry engines, which manage their own stores.
 func (t *TopK) StoreIndexStats() (st StoreIndexStats, ok bool) {
 	if t.t == nil {
 		return StoreIndexStats{}, false
 	}
-	is, ok := t.t.StoreIndexStats()
-	if !ok {
-		return StoreIndexStats{}, false
-	}
+	is := t.t.StoreIndexStats()
 	return StoreIndexStats{
 		Capacity:  is.Capacity,
 		TableSize: is.TableSize,

@@ -52,11 +52,10 @@ func TestNewValidation(t *testing.T) {
 		{"width+memory", 10, []Option{WithWidth(10), WithMemory(1000)}, ErrOptionConflict},
 		{"bad expansion", 10, []Option{WithExpansion(0, 4)}, ErrInvalidExpansion},
 		{"bad shards", 10, []Option{WithShards(0)}, ErrInvalidShards},
-		{"heap+map store", 10, []Option{WithMinHeap(), WithMapStore()}, ErrOptionConflict},
 		{"shards+concurrency", 10, []Option{WithShards(2), WithConcurrency()}, ErrOptionConflict},
 		{"unknown algorithm", 10, []Option{WithAlgorithm("nope")}, ErrUnknownAlgorithm},
 		{"empty algorithm", 10, []Option{WithAlgorithm("")}, ErrUnknownAlgorithm},
-		{"hk option on engine", 10, []Option{WithAlgorithm(AlgorithmSpaceSaving), WithMinHeap()}, ErrOptionConflict},
+		{"hk option on engine", 10, []Option{WithAlgorithm(AlgorithmSpaceSaving), WithExpansion(100, 4)}, ErrOptionConflict},
 		{"width on engine", 10, []Option{WithAlgorithm(AlgorithmFrequent), WithWidth(64)}, ErrOptionConflict},
 		{
 			"version vs versioned algorithm", 10,
@@ -178,32 +177,6 @@ func TestFindsTopKAllVersions(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestWithMinHeapEquivalentBehaviour(t *testing.T) {
-	stream, _ := skewed(50000, 2000, 9)
-	a := MustNew(20, WithSeed(3), WithMemory(32<<10))
-	b := MustNew(20, WithSeed(3), WithMemory(32<<10), WithMinHeap())
-	for _, p := range stream {
-		a.Add(p)
-		b.Add(p)
-	}
-	// Same sketch seed, same stream: the two stores should agree on the
-	// membership of the clear elephants (first half of the report).
-	la, lb := a.List(), b.List()
-	inB := map[string]bool{}
-	for _, f := range lb {
-		inB[string(f.ID)] = true
-	}
-	agree := 0
-	for _, f := range la[:10] {
-		if inB[string(f.ID)] {
-			agree++
-		}
-	}
-	if agree < 8 {
-		t.Errorf("heap and summary stores agree on only %d/10 head flows", agree)
 	}
 }
 

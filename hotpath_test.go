@@ -41,10 +41,6 @@ func TestOneHashPerPacket(t *testing.T) {
 	tk := heavykeeper.MustNew(100, heavykeeper.WithSeed(1))
 	conc := heavykeeper.MustNew(100, heavykeeper.WithConcurrency(), heavykeeper.WithSeed(1))
 	shrd := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
-	// The store layer must ride on the packet's one hash too, whichever
-	// top-k structure backs it: the open-addressed Stream-Summary (default)
-	// and the open-addressed min-heap probe by the precomputed KeyHash.
-	heap := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithMinHeap())
 
 	for name, tc := range map[string]struct {
 		fn   func()
@@ -71,9 +67,6 @@ func TestOneHashPerPacket(t *testing.T) {
 		"Sharded.AddBatch": {
 			func() { shrd.AddBatch(keys) }, uint64(len(keys)),
 		},
-		"TopK(MinHeap).Add":      {func() { heap.Add(k) }, 1},
-		"TopK(MinHeap).AddN":     {func() { heap.AddN(k, 3) }, 1},
-		"TopK(MinHeap).AddBatch": {func() { heap.AddBatch(keys) }, uint64(len(keys))},
 	} {
 		if got := countKeyHashes(tc.fn); got != tc.want {
 			t.Errorf("%s: %d key hashes, want %d", name, got, tc.want)
@@ -99,39 +92,33 @@ func TestZeroAllocIngest(t *testing.T) {
 	tk := heavykeeper.MustNew(100, heavykeeper.WithSeed(1))
 	shrd := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithShards(4))
 	conc := heavykeeper.MustNew(100, heavykeeper.WithConcurrency(), heavykeeper.WithSeed(1))
-	heap := heavykeeper.MustNew(100, heavykeeper.WithSeed(1), heavykeeper.WithMinHeap())
 	warm := func() {
 		for i := 0; i < 50; i++ {
 			tk.AddBatch(keys)
 			shrd.AddBatch(keys)
 			conc.AddBatch(keys)
-			heap.AddBatch(keys)
 			for _, key := range keys {
 				tk.Add(key)
 				shrd.Add(key)
 				conc.Add(key)
-				heap.Add(key)
 			}
 		}
 	}
 	warm()
 
 	for name, fn := range map[string]func(){
-		"TopK.Add":                func() { tk.Add(k) },
-		"TopK.AddString":          func() { tk.AddString(ks) },
-		"TopK.AddBatch":           func() { tk.AddBatch(keys) },
-		"TopK.Query":              func() { tk.Query(k) },
-		"Sharded.Add":             func() { shrd.Add(k) },
-		"Sharded.AddString":       func() { shrd.AddString(ks) },
-		"Sharded.AddBatch":        func() { shrd.AddBatch(keys) },
-		"Sharded.Query":           func() { shrd.Query(k) },
-		"Concurrent.Add":          func() { conc.Add(k) },
-		"Concurrent.AddString":    func() { conc.AddString(ks) },
-		"Concurrent.AddBatch":     func() { conc.AddBatch(keys) },
-		"Concurrent.Query":        func() { conc.Query(k) },
-		"TopK(MinHeap).Add":       func() { heap.Add(k) },
-		"TopK(MinHeap).AddString": func() { heap.AddString(ks) },
-		"TopK(MinHeap).AddBatch":  func() { heap.AddBatch(keys) },
+		"TopK.Add":             func() { tk.Add(k) },
+		"TopK.AddString":       func() { tk.AddString(ks) },
+		"TopK.AddBatch":        func() { tk.AddBatch(keys) },
+		"TopK.Query":           func() { tk.Query(k) },
+		"Sharded.Add":          func() { shrd.Add(k) },
+		"Sharded.AddString":    func() { shrd.AddString(ks) },
+		"Sharded.AddBatch":     func() { shrd.AddBatch(keys) },
+		"Sharded.Query":        func() { shrd.Query(k) },
+		"Concurrent.Add":       func() { conc.Add(k) },
+		"Concurrent.AddString": func() { conc.AddString(ks) },
+		"Concurrent.AddBatch":  func() { conc.AddBatch(keys) },
+		"Concurrent.Query":     func() { conc.Query(k) },
 	} {
 		if avg := testing.AllocsPerRun(100, fn); avg != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, avg)
@@ -147,23 +134,18 @@ func TestZeroAllocIngest(t *testing.T) {
 // store op that fell off the *Hashed path.
 func TestStoreLayerHashFree(t *testing.T) {
 	keys := hotKeys(32)
-	for name, tk := range map[string]heavykeeper.Summarizer{
-		"summary": heavykeeper.MustNew(16, heavykeeper.WithSeed(1)),
-		"minheap": heavykeeper.MustNew(16, heavykeeper.WithSeed(1), heavykeeper.WithMinHeap()),
-		"mapref":  heavykeeper.MustNew(16, heavykeeper.WithSeed(1), heavykeeper.WithMapStore()),
-	} {
-		// Warm: with 32 flows on a k=16 store, both store hits (resident
-		// flows being updated) and admission/eviction churn happen steadily.
-		for i := 0; i < 20; i++ {
-			tk.AddBatch(keys)
+	tk := heavykeeper.MustNew(16, heavykeeper.WithSeed(1))
+	// Warm: with 32 flows on a k=16 store, both store hits (resident flows
+	// being updated) and admission/eviction churn happen steadily.
+	for i := 0; i < 20; i++ {
+		tk.AddBatch(keys)
+	}
+	for i, key := range keys {
+		if got := countKeyHashes(func() { tk.Add(key) }); got != 1 {
+			t.Errorf("Add(keys[%d]) hashed %d times, want 1", i, got)
 		}
-		for i, key := range keys {
-			if got := countKeyHashes(func() { tk.Add(key) }); got != 1 {
-				t.Errorf("store=%s: Add(keys[%d]) hashed %d times, want 1", name, i, got)
-			}
-		}
-		if got := countKeyHashes(func() { tk.AddBatch(keys) }); got != uint64(len(keys)) {
-			t.Errorf("store=%s: AddBatch hashed %d times, want %d", name, got, len(keys))
-		}
+	}
+	if got := countKeyHashes(func() { tk.AddBatch(keys) }); got != uint64(len(keys)) {
+		t.Errorf("AddBatch hashed %d times, want %d", got, len(keys))
 	}
 }

@@ -38,22 +38,18 @@ func (s *Sketch) HashBatch(keys [][]byte) []uint64 {
 	return hs
 }
 
-// InsertParallelBatch is InsertParallel over a batch of keys. hashes, when
-// non-nil, must hold KeyHash(keys[i]) for every i (a router that already
-// hashed each key passes them through so nothing is hashed twice); when nil
-// the batch hashes each key once itself. gate, when non-nil, is invoked per
-// key in stream order immediately before that key's buckets change, and
-// report (when non-nil) immediately after — so a caller updating a top-k
-// structure from report sees exactly the interleaving of a sequential loop
-// over InsertParallel; both receive the key's hash so store probes need not
-// re-derive it. Only hashing is done ahead of time, and hashing depends on
+// InsertParallelBatch is InsertParallel over a batch of keys with the
+// Optimization II gate open (inHeap = true), which is the basic discipline.
+// hashes, when non-nil, must hold KeyHash(keys[i]) for every i (a caller
+// that already hashed each key passes them through so nothing is hashed
+// twice); when nil the batch hashes each key once itself. report, when
+// non-nil, is invoked per key in stream order immediately after that key's
+// buckets change. Only hashing is done ahead of time, and hashing depends on
 // no mutable state, so the batch is bit-for-bit equivalent to the
 // sequential path (including the decay RNG stream, which is consumed lazily
 // in probe order either way; pre-generating it per chunk was measured
-// slower — see doc/performance.md). A nil gate means no Optimization II
-// gating (every matching counter may increment), which is the basic
-// discipline.
-func (s *Sketch) InsertParallelBatch(keys [][]byte, hashes []uint64, gate func(i int, h uint64) (inHeap bool, nmin uint32), report func(i int, h uint64, est uint32)) {
+// slower — see doc/performance.md).
+func (s *Sketch) InsertParallelBatch(keys [][]byte, hashes []uint64, report func(i int, h uint64, est uint32)) {
 	for off := 0; off < len(keys); off += BatchChunk {
 		end := off + BatchChunk
 		if end > len(keys) {
@@ -68,11 +64,7 @@ func (s *Sketch) InsertParallelBatch(keys [][]byte, hashes []uint64, gate func(i
 		}
 		for ci, key := range chunk {
 			h := hs[ci]
-			inHeap, nmin := true, uint32(0xffffffff)
-			if gate != nil {
-				inHeap, nmin = gate(off+ci, h)
-			}
-			est := s.InsertParallelHashed(key, h, inHeap, nmin)
+			est := s.InsertParallelHashed(key, h, true, 0xffffffff)
 			if report != nil {
 				report(off+ci, h, est)
 			}
@@ -87,7 +79,7 @@ func (s *Sketch) InsertBasicBatch(keys [][]byte, report func(i int, est uint32))
 	if report != nil {
 		rep = func(i int, _ uint64, est uint32) { report(i, est) }
 	}
-	s.InsertParallelBatch(keys, nil, nil, rep)
+	s.InsertParallelBatch(keys, nil, rep)
 }
 
 // AddBatch records one basic-discipline packet per key. It is the

@@ -80,24 +80,20 @@ func TestInsertBasicBatchReportsEstimates(t *testing.T) {
 	}
 }
 
-// TestInsertParallelBatchMatchesSequential drives both paths with an
-// identical, state-dependent gate sequence and checks full equivalence.
+// TestInsertParallelBatchMatchesSequential drives both paths with the
+// Optimization II gate open and checks full equivalence.
 func TestInsertParallelBatchMatchesSequential(t *testing.T) {
 	cfg := Config{W: 64, Seed: 9}
 	seq := MustNew(cfg)
 	bat := MustNew(cfg)
 	stream := batchStream(20_000, 500, 1234)
 
-	gate := func(i int) (bool, uint32) { return i%3 == 0, uint32(i % 11) }
 	want := make([]uint32, len(stream))
 	for i, k := range stream {
-		inHeap, nmin := gate(i)
-		want[i] = seq.InsertParallel(k, inHeap, nmin)
+		want[i] = seq.InsertParallel(k, true, 0xffffffff)
 	}
 	got := make([]uint32, len(stream))
-	bat.InsertParallelBatch(stream, nil,
-		func(i int, _ uint64) (bool, uint32) { return gate(i) },
-		func(i int, _ uint64, est uint32) { got[i] = est })
+	bat.InsertParallelBatch(stream, nil, func(i int, _ uint64, est uint32) { got[i] = est })
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("estimate %d diverges: sequential %d, batch %d", i, want[i], got[i])
@@ -119,8 +115,8 @@ func TestInsertParallelBatchPrehashed(t *testing.T) {
 	for i, k := range stream {
 		hashes[i] = pre.KeyHash(k)
 	}
-	self.InsertParallelBatch(stream, nil, nil, nil)
-	pre.InsertParallelBatch(stream, hashes, nil, nil)
+	self.InsertParallelBatch(stream, nil, nil)
+	pre.InsertParallelBatch(stream, hashes, nil)
 	requireEqualState(t, self, pre, stream)
 }
 

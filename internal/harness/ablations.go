@@ -13,7 +13,7 @@ import (
 // Ablation runs one of the repository's design-choice studies — experiments
 // beyond the paper's figures that quantify the decisions DESIGN.md calls
 // out (decay function, array count, fingerprint width, the two
-// optimizations, top-k store, auto-expansion).
+// optimizations, auto-expansion).
 func (r *Runner) Ablation(id string) (*Table, error) {
 	switch id {
 	case "decay-functions":
@@ -24,8 +24,6 @@ func (r *Runner) Ablation(id string) (*Table, error) {
 		return r.ablationFingerprint(), nil
 	case "optimizations":
 		return r.ablationOptimizations(), nil
-	case "store":
-		return r.ablationStore(), nil
 	case "expansion":
 		return r.ablationExpansion(), nil
 	default:
@@ -37,7 +35,7 @@ func (r *Runner) Ablation(id string) (*Table, error) {
 func AblationIDs() []string {
 	return []string{
 		"decay-functions", "depth", "fingerprint-bits",
-		"optimizations", "store", "expansion",
+		"optimizations", "expansion",
 	}
 }
 
@@ -161,35 +159,6 @@ func (r *Runner) ablationOptimizations() *Table {
 		})
 		s := r.evalTracker(t, tr, k)
 		tab.AddRow(v.name, []float64{s.precision, s.are, s.aae})
-	}
-	return tab
-}
-
-// ablationStore compares the Stream-Summary store against the min-heap
-// store on accuracy and throughput.
-func (r *Runner) ablationStore() *Table {
-	t := r.trace(gen.Campus(r.cfg.Seed))
-	const k, budget = 100, 30 * 1024
-	tab := NewTable("Ablation: top-k store (Campus, 30KB, k=100)", "Store", []string{"Precision", "Throughput (Mps)"})
-	for _, st := range []struct {
-		name string
-		kind topk.StoreKind
-	}{
-		{"Stream-Summary", topk.StoreSummary},
-		{"Min-heap", topk.StoreHeap},
-	} {
-		tr := topk.MustNew(topk.Options{
-			K: k, Version: topk.Parallel, Store: st.kind,
-			Sketch: core.Config{D: 2, W: hkWidth(budget, k, 2), Seed: r.cfg.Seed},
-		})
-		mps := metrics.ThroughputN(t.Len(), t.Key, tr.Insert)
-		top := tr.Top()
-		reported := make([]metrics.Entry, len(top))
-		for i, e := range top {
-			reported[i] = metrics.Entry{Key: e.Key, Count: e.Count}
-		}
-		p := metrics.Precision(reported, r.oracle(t).TopKSet(k))
-		tab.AddRow(st.name, []float64{p, mps})
 	}
 	return tab
 }

@@ -1,20 +1,18 @@
 // Package minheap implements a keyed binary min-heap of (flow, size) pairs.
 //
-// This is the top-k structure the HeavyKeeper paper uses for exposition
-// (§III-C): it keeps the k largest flows seen so far, supports membership
-// queries, "update size with max", and "expel root, insert new flow". All
-// operations are O(log k) except membership, which is O(1) via the key index.
-// The paper's implementation swaps in Stream-Summary for O(1) updates; the
-// repository provides both behind one interface in internal/topk so the
-// difference can be measured.
+// It keeps the k largest flows seen so far, supports membership queries,
+// "update size with max", and "expel root, insert new flow" — the top-k
+// structure the HeavyKeeper paper uses for exposition (§III-C). All
+// operations are O(log k) except membership, which is O(1) via the key
+// index. HeavyKeeper itself keeps its top-k in Stream-Summary (as the
+// paper's implementation does); this heap backs the Count-Min baseline's
+// top-k (internal/cmsketch, §II-B).
 //
 // Like internal/streamsummary, membership is resolved through a flat
-// open-addressed table keyed by a 64-bit key hash rather than a Go map, so
-// callers that already hold the key's hash (internal/topk reuses
-// core.Sketch.KeyHash) probe without re-traversing the key bytes. Each slot
-// stores the entry's full hash plus its heap position; sift swaps re-point
-// the two affected slots by (hash, old position), which identifies them
-// exactly even under full 64-bit hash collisions. Deletion backward-shifts
+// open-addressed table keyed by a 64-bit key hash rather than a Go map.
+// Each slot stores the entry's full hash plus its heap position; sift swaps
+// re-point the two affected slots by (hash, old position), which identifies
+// them exactly even under full 64-bit hash collisions. Deletion backward-shifts
 // the probe chain, so the table stays tombstone-free across any number of
 // expel/insert cycles.
 //
@@ -32,7 +30,6 @@ import "repro/internal/hash"
 // Heap is a keyed min-heap with fixed capacity.
 type Heap struct {
 	capacity int
-	seed     uint64 // hash seed for keys arriving without a precomputed hash
 	items    []entry
 	table    []slot // open-addressed key index, power-of-two sized
 	mask     uint64 // len(table) - 1
@@ -53,15 +50,9 @@ type slot struct {
 	pos int32
 }
 
-// New returns an empty heap holding at most capacity entries, hashing keys
-// under a fixed default seed. It panics if capacity < 1.
-func New(capacity int) *Heap { return NewSeeded(capacity, 0) }
-
-// NewSeeded is New with an explicit key-hash seed; an embedding sketch that
-// feeds the *Hashed entry points must share its key-hash seed here so
-// precomputed and internal hashes agree (internal/topk passes
-// core.Sketch.KeySeed).
-func NewSeeded(capacity int, seed uint64) *Heap {
+// New returns an empty heap holding at most capacity entries. It panics if
+// capacity < 1.
+func New(capacity int) *Heap {
 	if capacity < 1 {
 		panic("minheap: capacity must be >= 1")
 	}
@@ -71,20 +62,15 @@ func NewSeeded(capacity int, seed uint64) *Heap {
 	}
 	return &Heap{
 		capacity: capacity,
-		seed:     seed,
 		items:    make([]entry, 0, capacity),
 		table:    make([]slot, size),
 		mask:     uint64(size - 1),
 	}
 }
 
-// Hash returns the heap's 64-bit hash of key: the value the *Hashed entry
-// points expect for that key.
-func (h *Heap) Hash(key []byte) uint64 { return hash.Sum64(h.seed, key) }
-
-// hashString is Hash for a string key; the []byte view does not escape into
-// the hash, so the conversion stays on the stack.
-func (h *Heap) hashString(key string) uint64 { return hash.Sum64(h.seed, []byte(key)) }
+// hashString returns the heap's 64-bit hash of key; the []byte view does
+// not escape into the hash, so the conversion stays on the stack.
+func (h *Heap) hashString(key string) uint64 { return hash.Sum64(0, []byte(key)) }
 
 // Len returns the number of entries.
 func (h *Heap) Len() int { return len(h.items) }
@@ -107,24 +93,6 @@ func (h *Heap) find(hk uint64, key string) int {
 		}
 		if sl.h == hk {
 			if p := int(sl.pos - 1); h.items[p].key == key {
-				return p
-			}
-		}
-		i = (i + 1) & h.mask
-	}
-}
-
-// findBytes is find for a byte-slice key; the comparison compiles
-// allocation-free.
-func (h *Heap) findBytes(hk uint64, key []byte) int {
-	i := hk & h.mask
-	for {
-		sl := h.table[i]
-		if sl.pos == 0 {
-			return -1
-		}
-		if sl.h == hk {
-			if p := int(sl.pos - 1); h.items[p].key == string(key) {
 				return p
 			}
 		}
@@ -181,52 +149,6 @@ func (h *Heap) indexDelete(hk uint64, pos int) {
 // Contains reports whether key is in the heap.
 func (h *Heap) Contains(key string) bool {
 	return h.find(h.hashString(key), key) >= 0
-}
-
-// ContainsKey is Contains for a byte-slice key, hashing it here.
-func (h *Heap) ContainsKey(key []byte) bool {
-	return h.findBytes(h.Hash(key), key) >= 0
-}
-
-// ContainsHashed reports whether key (whose precomputed hash is hk) is in
-// the heap without re-hashing the key bytes.
-func (h *Heap) ContainsHashed(key []byte, hk uint64) bool {
-	return h.findBytes(hk, key) >= 0
-}
-
-// UpdateMaxKey sets key's size to max(current, count); absent keys are
-// ignored.
-func (h *Heap) UpdateMaxKey(key []byte, count uint64) {
-	h.UpdateMaxHashed(key, h.Hash(key), count)
-}
-
-// UpdateMaxHashed is UpdateMaxKey with a precomputed key hash; absent keys
-// are ignored.
-func (h *Heap) UpdateMaxHashed(key []byte, hk uint64, count uint64) {
-	i := h.findBytes(hk, key)
-	if i < 0 {
-		return
-	}
-	if count > h.items[i].count {
-		h.items[i].count = count
-		h.siftDown(i)
-	}
-}
-
-// InsertKey is Insert for a byte-slice key; the string is materialized here,
-// on admission, rather than once per packet.
-func (h *Heap) InsertKey(key []byte, count uint64) {
-	h.InsertHashed(key, h.Hash(key), count)
-}
-
-// InsertHashed is Insert with a precomputed key hash: it admits key with
-// size count, evicting the root first when full. Inserting an existing key
-// panics.
-func (h *Heap) InsertHashed(key []byte, hk uint64, count uint64) (evictedKey string, evictedCount uint64, evicted bool) {
-	if h.findBytes(hk, key) >= 0 {
-		panic("minheap: Insert of existing key " + string(key))
-	}
-	return h.insertNew(entry{key: string(key), hash: hk, count: count})
 }
 
 // Count returns key's recorded size.

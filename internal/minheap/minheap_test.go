@@ -264,56 +264,3 @@ func BenchmarkUpdateMax(b *testing.B) {
 		h.UpdateMax("k50", uint64(i%200))
 	}
 }
-
-// TestHashedOpsMatchStringOps drives two heaps with the same op stream — one
-// through the string/byte entry points (which hash internally), one through
-// the *Hashed entry points with precomputed hashes — and requires identical
-// state throughout. This pins that the open-addressed index treats a
-// caller-supplied hash exactly like its own, including across the
-// evict/insert and sift churn that re-points index slots.
-func TestHashedOpsMatchStringOps(t *testing.T) {
-	const cap = 16
-	a := New(cap)
-	b := New(cap)
-	rng := xrand.NewXorshift64Star(17)
-	for step := 0; step < 30000; step++ {
-		key := fmt.Sprintf("k%d", rng.Uint64n(48))
-		kb := []byte(key)
-		h := b.Hash(kb)
-		switch rng.Uint64n(4) {
-		case 0:
-			if a.ContainsKey(kb) != b.ContainsHashed(kb, h) {
-				t.Fatalf("step %d: membership diverged for %s", step, key)
-			}
-		case 1:
-			if !a.Contains(key) {
-				a.InsertKey(kb, uint64(step%97)+1)
-				b.InsertHashed(kb, h, uint64(step%97)+1)
-			}
-		case 2:
-			v := rng.Uint64n(200) + 1
-			a.UpdateMaxKey(kb, v)
-			b.UpdateMaxHashed(kb, h, v)
-		default:
-			if a.Remove(key) != b.Remove(key) {
-				t.Fatalf("step %d: Remove diverged for %s", step, key)
-			}
-		}
-		if a.Len() != b.Len() || a.MinCount() != b.MinCount() {
-			t.Fatalf("step %d: state diverged: Len %d/%d MinCount %d/%d",
-				step, a.Len(), b.Len(), a.MinCount(), b.MinCount())
-		}
-		if step%1000 == 0 {
-			a.mustCheck(t)
-			b.mustCheck(t)
-			ai, bi := a.Items(), b.Items()
-			for i := range ai {
-				if ai[i] != bi[i] {
-					t.Fatalf("step %d: Items[%d] diverged: %+v vs %+v", step, i, ai[i], bi[i])
-				}
-			}
-		}
-	}
-	a.mustCheck(t)
-	b.mustCheck(t)
-}

@@ -17,6 +17,7 @@ func FuzzStoreEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 8, 2, 16, 3, 24, 4, 1, 0, 9, 1, 17, 2, 25, 3})
 	f.Add([]byte{8, 0, 8, 1, 8, 2, 8, 3, 8, 4, 8, 5, 8, 6, 8, 7, 24, 0, 24, 1})
 	f.Add([]byte{16, 5, 16, 5, 16, 5, 33, 5, 40, 0, 16, 5})
+	f.Add([]byte{3, 1, 3, 2, 7, 1, 7, 30, 7, 2, 5, 0, 7, 1, 3, 9, 7, 9})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const capacity = 8
@@ -28,7 +29,7 @@ func FuzzStoreEquivalence(f *testing.F) {
 			op, arg := data[i], data[i+1]
 			key := keyOf(arg)
 			kb := []byte(key)
-			switch op % 8 {
+			switch op % 9 {
 			case 0: // membership probe (string form)
 				if open.Contains(key) != ref.Contains(key) {
 					t.Fatalf("op %d: Contains(%s) diverged", i, key)
@@ -62,6 +63,16 @@ func FuzzStoreEquivalence(f *testing.F) {
 			case 6: // remove a specific key
 				if open.Remove(key) != ref.Remove(key) {
 					t.Fatalf("op %d: Remove(%s) diverged", i, key)
+				}
+			case 7: // the tracker's probe pair: ProbeHashed, then UpdateMaxProbe on a hit
+				v := uint64(arg)%29 + 1
+				p, ok := open.ProbeHashed(kb, open.Hash(kb))
+				if ok != ref.ContainsKey(kb) {
+					t.Fatalf("op %d: ProbeHashed(%s) diverged", i, key)
+				}
+				if ok {
+					open.UpdateMaxProbe(p, v)
+					ref.UpdateMaxKey(kb, v)
 				}
 			default: // set / incr on monitored keys
 				if open.Contains(key) {

@@ -1,14 +1,9 @@
 // RefSummary is the retained map-indexed Stream-Summary implementation, kept
-// as a differential-testing reference for the open-addressed Summary (and
-// selectable in hkbench via -store=map so the index swap stays measurable).
+// as test code: the differential reference for the open-addressed Summary.
 // It is bit-for-bit the pre-rewrite structure: same bucket-list logic, same
 // tie-breaking, same cursor discipline — only the key index differs (a Go
 // map here, the flat hash table in Summary). FuzzStoreEquivalence drives both
 // with one op stream and asserts identical observable state.
-//
-// Do not use RefSummary on hot paths: every probe re-hashes the key bytes
-// inside the map runtime, which is exactly the cost the open-addressed index
-// removes.
 
 package streamsummary
 
@@ -71,10 +66,6 @@ func (s *RefSummary) ContainsKey(key []byte) bool {
 	return n != nil
 }
 
-// ContainsHashed ignores the precomputed hash (the map re-hashes internally);
-// it exists so RefSummary satisfies the same store surface as Summary.
-func (s *RefSummary) ContainsHashed(key []byte, _ uint64) bool { return s.ContainsKey(key) }
-
 // UpdateMaxKey raises key's count to max(current, count); keys that are not
 // monitored are ignored.
 func (s *RefSummary) UpdateMaxKey(key []byte, count uint64) {
@@ -92,18 +83,8 @@ func (s *RefSummary) UpdateMaxKey(key []byte, count uint64) {
 	s.moveTo(n, count)
 }
 
-// UpdateMaxHashed is UpdateMaxKey with the hash ignored.
-func (s *RefSummary) UpdateMaxHashed(key []byte, _ uint64, count uint64) {
-	s.UpdateMaxKey(key, count)
-}
-
 // InsertKey is Insert for a byte-slice key.
 func (s *RefSummary) InsertKey(key []byte, count, errVal uint64) {
-	s.Insert(string(key), count, errVal)
-}
-
-// InsertHashed is InsertKey with the hash ignored.
-func (s *RefSummary) InsertHashed(key []byte, _ uint64, count, errVal uint64) {
 	s.Insert(string(key), count, errVal)
 }
 

@@ -30,11 +30,11 @@
 // Callers that cannot supply a hash (string-keyed queries, Space-Saving's
 // Incr loop) fall back to hashing internally under the summary's seed;
 // NewSeeded lets an embedding sketch share its own key-hash seed so both
-// sides agree on every key's hash. The map-indexed original is retained as
-// RefSummary (ref.go) for differential testing. internal/minheap carries a
-// deliberate twin of this probing machinery (different slot payload, same
-// sizing/probe/backward-shift logic); a fix to either copy must be mirrored
-// in the other.
+// sides agree on every key's hash. The map-indexed original is retained in
+// test code as RefSummary (ref_test.go), the differential reference.
+// internal/minheap carries a deliberate twin of this probing machinery
+// (different slot payload, same sizing/probe/backward-shift logic); a fix
+// to either copy must be mirrored in the other.
 //
 // The structure is not safe for concurrent use; the sketches that embed it
 // are single-writer, matching the paper's model.

@@ -9,36 +9,35 @@ import (
 )
 
 // TestInsertBatchMatchesSequential checks InsertBatch against a sequential
-// Insert loop for every version × store combination: identical top-k output
-// and identical sketch statistics.
+// Insert loop for every version: identical top-k output and identical
+// sketch statistics. Subtest names carry the store byte a snapshot of the
+// tracker records.
 func TestInsertBatchMatchesSequential(t *testing.T) {
 	stream, _ := zipfStream(t, 50_000, 2_000, 77)
 	for _, version := range []Version{Basic, Parallel, Minimum} {
-		for _, store := range []StoreKind{StoreSummary, StoreHeap, StoreSummaryRef} {
-			t.Run(fmt.Sprintf("%s/store=%d", version, store), func(t *testing.T) {
-				opts := Options{K: 32, Version: version, Store: store, Sketch: core.Config{W: 256, Seed: 11}}
-				seq := MustNew(opts)
-				bat := MustNew(opts)
-				for _, k := range stream {
-					seq.Insert(k)
+		t.Run(fmt.Sprintf("%s/store=%d", version, StoreSummary), func(t *testing.T) {
+			opts := Options{K: 32, Version: version, Sketch: core.Config{W: 256, Seed: 11}}
+			seq := MustNew(opts)
+			bat := MustNew(opts)
+			for _, k := range stream {
+				seq.Insert(k)
+			}
+			for off := 0; off < len(stream); {
+				n := 1 + (off*13)%997
+				if off+n > len(stream) {
+					n = len(stream) - off
 				}
-				for off := 0; off < len(stream); {
-					n := 1 + (off*13)%997
-					if off+n > len(stream) {
-						n = len(stream) - off
-					}
-					bat.InsertBatch(stream[off : off+n])
-					off += n
-				}
-				if seq.Sketch().Stats() != bat.Sketch().Stats() {
-					t.Fatalf("sketch stats diverge:\nsequential %+v\nbatch      %+v",
-						seq.Sketch().Stats(), bat.Sketch().Stats())
-				}
-				if !reflect.DeepEqual(seq.Top(), bat.Top()) {
-					t.Fatalf("top-k diverges:\nsequential %v\nbatch      %v", seq.Top(), bat.Top())
-				}
-			})
-		}
+				bat.InsertBatch(stream[off : off+n])
+				off += n
+			}
+			if seq.Sketch().Stats() != bat.Sketch().Stats() {
+				t.Fatalf("sketch stats diverge:\nsequential %+v\nbatch      %+v",
+					seq.Sketch().Stats(), bat.Sketch().Stats())
+			}
+			if !reflect.DeepEqual(seq.Top(), bat.Top()) {
+				t.Fatalf("top-k diverges:\nsequential %v\nbatch      %v", seq.Top(), bat.Top())
+			}
+		})
 	}
 }
 
@@ -112,51 +111,5 @@ func TestMergeFromErrors(t *testing.T) {
 		if err := a.MergeFrom(MustNew(Options{K: 4, Sketch: cfg})); err == nil {
 			t.Errorf("merge across %s must fail", name)
 		}
-	}
-}
-
-// TestOpenStoreMatchesRefStore is the tracker-level differential test for
-// the open-addressed store index: the same stream through StoreSummary
-// (KeyHash-indexed flat table) and StoreSummaryRef (retained map index)
-// must produce identical top-k reports and sketch statistics on both the
-// sequential and the batched ingest path, for every discipline.
-func TestOpenStoreMatchesRefStore(t *testing.T) {
-	stream, _ := zipfStream(t, 60_000, 2_500, 41)
-	for _, version := range []Version{Basic, Parallel, Minimum} {
-		t.Run(version.String(), func(t *testing.T) {
-			mk := func(store StoreKind) Options {
-				return Options{K: 24, Version: version, Store: store, Sketch: core.Config{W: 256, Seed: 7}}
-			}
-			open := MustNew(mk(StoreSummary))
-			ref := MustNew(mk(StoreSummaryRef))
-			openB := MustNew(mk(StoreSummary))
-			refB := MustNew(mk(StoreSummaryRef))
-			for _, k := range stream {
-				open.Insert(k)
-				ref.Insert(k)
-			}
-			for off := 0; off < len(stream); off += 300 {
-				end := off + 300
-				if end > len(stream) {
-					end = len(stream)
-				}
-				openB.InsertBatch(stream[off:end])
-				refB.InsertBatch(stream[off:end])
-			}
-			if open.Sketch().Stats() != ref.Sketch().Stats() {
-				t.Fatalf("sequential sketch stats diverge:\nopen %+v\nref  %+v",
-					open.Sketch().Stats(), ref.Sketch().Stats())
-			}
-			if !reflect.DeepEqual(open.Top(), ref.Top()) {
-				t.Fatalf("sequential top-k diverges:\nopen %v\nref  %v", open.Top(), ref.Top())
-			}
-			if !reflect.DeepEqual(openB.Top(), refB.Top()) {
-				t.Fatalf("batched top-k diverges:\nopen %v\nref  %v", openB.Top(), refB.Top())
-			}
-			if !reflect.DeepEqual(open.Top(), openB.Top()) {
-				t.Fatalf("open store: sequential vs batch diverges:\nseq   %v\nbatch %v",
-					open.Top(), openB.Top())
-			}
-		})
 	}
 }

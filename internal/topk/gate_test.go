@@ -7,23 +7,43 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/streamsummary"
 )
 
-// alwaysProbe wraps a Stream-Summary store so the tracker no longer
-// recognizes it as summaryStore: every packet then takes the generic
-// interface path, which calls ContainsHashed before touching the sketch.
-// It is the oracle the probe-skipping default path must match bit for bit.
-type alwaysProbe struct{ summaryStore }
-
-// gatePair builds a Stream-Summary tracker for opts and an always-probe
-// oracle with the same options.
-func gatePair(opts Options) (gated, oracle *Tracker) {
-	opts.Store = StoreSummary
-	gated = MustNew(opts)
-	oracle = MustNew(opts)
-	oracle.store = alwaysProbe{oracle.store.(summaryStore)}
-	return gated, oracle
+// alwaysProbeInsert is the oracle the probe-skipping tracker must match
+// bit for bit: Algorithm 1/2 with the store probed on every packet. Step 1
+// takes the membership flag unconditionally, Step 2 inserts into the sketch
+// gated by gateNMin's n_min, Step 3 applies the admission rule. It shares
+// no code with insertHashedSummary beyond the store and sketch primitives.
+func alwaysProbeInsert(t *Tracker, key []byte) {
+	h := t.KeyHash(key)
+	ss := t.store
+	flag := ss.ContainsHashed(key, h)
+	nmin := t.gateNMin(flag)
+	var est uint64
+	if t.opts.Version == Minimum {
+		est = uint64(t.sk.InsertMinimumHashed(key, h, flag, nmin))
+	} else {
+		est = uint64(t.sk.InsertParallelHashed(key, h, flag, nmin))
+	}
+	admit := func() {
+		if ss.Full() {
+			ss.EvictMin()
+		}
+		ss.InsertHashed(key, h, est, 0)
+	}
+	switch {
+	case flag:
+		ss.UpdateMaxHashed(key, h, est)
+	case est == 0:
+	case !ss.Full():
+		admit()
+	case t.opts.DisableOptI:
+		if est > ss.MinCount() {
+			admit()
+		}
+	case est == ss.MinCount()+1:
+		admit()
+	}
 }
 
 // sameTracker fails t unless gated and oracle agree on the top-k report,
@@ -47,49 +67,37 @@ func sameTracker(t *testing.T, label string, gated, oracle *Tracker) {
 	if !bytes.Equal(gb.Bytes(), ob.Bytes()) {
 		t.Fatalf("%s: sketch bytes diverge (%d vs %d bytes)", label, gb.Len(), ob.Len())
 	}
-	if g, o := summaryOf(gated).IndexStats(), summaryOf(oracle).IndexStats(); !reflect.DeepEqual(g, o) {
+	if g, o := gated.StoreIndexStats(), oracle.StoreIndexStats(); !reflect.DeepEqual(g, o) {
 		t.Fatalf("%s: store index stats diverge:\ngated  %+v\noracle %+v", label, g, o)
 	}
 }
 
-// summaryOf returns the Stream-Summary under tr's store, wrapped or not.
-func summaryOf(tr *Tracker) *streamsummary.Summary {
-	if w, ok := tr.store.(alwaysProbe); ok {
-		return w.s
-	}
-	return tr.store.(summaryStore).s
-}
-
-// feedAll drives stream through gated and oracle in the three ingest
-// shapes — sequential Insert, InsertBatch and InsertBatchHashed — using
-// batches of varying length, and checks each pair for agreement.
+// feedAll drives stream through the always-probe oracle and through
+// trackers in the three ingest shapes — sequential Insert, InsertBatch and
+// InsertBatchHashed, the batches of varying length — and checks each shape
+// against the oracle.
 func feedAll(t *testing.T, opts Options, stream [][]byte) {
 	t.Helper()
-	gated, oracle := gatePair(opts)
+	oracle := MustNew(opts)
+	seq, bat, batH := MustNew(opts), MustNew(opts), MustNew(opts)
 	for _, k := range stream {
-		gated.Insert(k)
-		oracle.Insert(k)
+		alwaysProbeInsert(oracle, k)
+		seq.Insert(k)
 	}
-	sameTracker(t, "sequential", gated, oracle)
-
-	gated, oracle = gatePair(opts)
-	gatedH, oracleH := gatePair(opts)
 	for off := 0; off < len(stream); {
 		n := min(1+(off*7)%613, len(stream)-off)
 		batch := stream[off : off+n]
-		gated.InsertBatch(batch)
-		oracle.InsertBatch(batch)
+		bat.InsertBatch(batch)
 		hs := make([]uint64, n)
 		for i, k := range batch {
-			hs[i] = gatedH.KeyHash(k)
+			hs[i] = batH.KeyHash(k)
 		}
-		gatedH.InsertBatchHashed(batch, hs)
-		oracleH.InsertBatchHashed(batch, hs)
+		batH.InsertBatchHashed(batch, hs)
 		off += n
 	}
-	sameTracker(t, "batched", gated, oracle)
-	sameTracker(t, "hashed batch", gatedH, oracleH)
-	sameTracker(t, "batched vs hashed batch", gated, gatedH)
+	sameTracker(t, "sequential", seq, oracle)
+	sameTracker(t, "batched", bat, oracle)
+	sameTracker(t, "hashed batch", batH, oracle)
 }
 
 // TestProbeGateMatchesAlwaysProbe runs a fixed grid of the options that

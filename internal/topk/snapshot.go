@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/streamsummary"
 )
 
 // Tracker snapshot format. The tracker section rides the sketch's own v3
@@ -16,7 +17,7 @@ import (
 //
 //	u8   section version (1)
 //	u8   insertion discipline (Version)
-//	u8   store kind (StoreKind)
+//	u8   store kind (always StoreSummary)
 //	u8   flags: bit0 DisableOptI, bit1 DisableOptII
 //	u32  K
 //	u32  D, u32 W, u64 B (float bits), u32 FingerprintBits,
@@ -26,7 +27,7 @@ import (
 //	u32  entry count (<= K), then per entry:
 //	       u32 key length | key bytes | u64 count
 //
-// Entries are written in descending count order (Store.Top) and restored
+// Entries are written in descending count order (Top) and restored
 // by ascending insertion, the same discipline MergeFrom uses, so
 // Stream-Summary recency tie-breaking is not reordered by a round trip.
 // All integers are little-endian. Every decode failure matches
@@ -77,7 +78,7 @@ func (t *Tracker) WriteTo(w io.Writer) (int64, error) {
 	head := []any{
 		uint8(trackerSnapshotVersion),
 		uint8(t.opts.Version),
-		uint8(t.opts.Store),
+		uint8(StoreSummary),
 		packFlags(t.opts),
 		uint32(t.opts.K),
 		uint32(cfg.D), uint32(cfg.W), math.Float64bits(cfg.B),
@@ -99,7 +100,7 @@ func (t *Tracker) WriteTo(w io.Writer) (int64, error) {
 	if err := write(sk.b); err != nil {
 		return n, err
 	}
-	entries := t.store.Top(t.opts.K)
+	entries := t.Top()
 	if err := write(uint32(len(entries))); err != nil {
 		return n, err
 	}
@@ -185,9 +186,7 @@ func ReadTracker(r io.Reader) (*Tracker, error) {
 	if Version(version) != Basic && Version(version) != Parallel && Version(version) != Minimum {
 		return nil, corrupt()
 	}
-	switch StoreKind(store) {
-	case StoreHeap, StoreSummary, StoreSummaryRef:
-	default:
+	if StoreKind(store) != StoreSummary {
 		return nil, corrupt()
 	}
 	if !read(&k) || k == 0 || k > maxSnapshotK {
@@ -251,12 +250,6 @@ func ReadTracker(r io.Reader) (*Tracker, error) {
 	if consumed != int64(sketchLen) {
 		return nil, corrupt()
 	}
-	// The store index is seeded with the restored sketch's key seed (which
-	// ReadFrom may have replaced), so precomputed hashes keep agreeing.
-	st, err := newStore(opts.Store, opts.K, sk.KeySeed())
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", core.ErrCorrupt, err)
-	}
 	var count uint32
 	if !read(&count) || count > k {
 		return nil, corrupt()
@@ -280,8 +273,14 @@ func ReadTracker(r io.Reader) (*Tracker, error) {
 		}
 		entries = append(entries, Entry{Key: string(key), Count: c})
 	}
+	// The store index is seeded with the restored sketch's key seed (which
+	// ReadFrom may have replaced), so precomputed hashes keep agreeing.
+	st := streamsummary.NewSeeded(opts.K, sk.KeySeed())
 	for i := len(entries) - 1; i >= 0; i-- {
-		st.InsertEvict(entries[i].Key, entries[i].Count)
+		if st.Contains(entries[i].Key) {
+			return nil, fmt.Errorf("%w: duplicate top-k entry", core.ErrCorrupt)
+		}
+		st.Insert(entries[i].Key, entries[i].Count, 0)
 	}
 	return &Tracker{sk: sk, store: st, opts: opts}, nil
 }

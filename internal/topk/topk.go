@@ -5,10 +5,10 @@
 // (fingerprint-collision detection) and Optimization II (selective
 // increment).
 //
-// The top-k structure is pluggable: the paper presents a min-heap for
+// The top-k structure is Stream-Summary. The paper presents a min-heap for
 // exposition and uses Stream-Summary in its implementation for O(1) updates
-// (§III-C note); both are provided here behind the Store interface so the
-// trade-off can be measured.
+// (§III-C note); the heap's three operations — membership, update with max,
+// expel the minimum and insert — map onto it one for one.
 package topk
 
 import (
@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/minheap"
 	"repro/internal/streamsummary"
 )
 
@@ -47,150 +46,20 @@ func (v Version) String() string {
 	}
 }
 
-// StoreKind selects the top-k structure implementation.
+// StoreKind names the top-k structure a tracker snapshot records in its
+// store byte.
 type StoreKind int
 
-const (
-	// StoreHeap uses a keyed binary min-heap (O(log k) updates).
-	StoreHeap StoreKind = iota
-	// StoreSummary uses Stream-Summary (O(1) unit updates), as the paper's
-	// implementation does, indexed by the open-addressed KeyHash table.
-	StoreSummary
-	// StoreSummaryRef uses the retained map-indexed Stream-Summary
-	// (streamsummary.RefSummary). It exists for differential testing and for
-	// benchmarking the index swap (hkbench -store=map); behavior is
-	// identical to StoreSummary, only the key index differs.
-	StoreSummaryRef
-)
+// StoreSummary is Stream-Summary (O(1) unit updates), as the paper's
+// implementation uses (§III-C note), indexed by the open-addressed KeyHash
+// table. It is the only store, and the only value a snapshot's store byte
+// may hold.
+const StoreSummary StoreKind = 1
 
 // Entry is one reported top-k flow.
 type Entry struct {
 	Key   string
 	Count uint64
-}
-
-// Store abstracts the structure holding the current top-k candidates. The
-// *Hashed methods are the hot path: they take the packet's single KeyHash
-// (already computed for the sketch) so the store probes its index without
-// re-hashing — and they must not materialize a string except on actual
-// admission, so per-packet cost stays allocation-free. Implementations are
-// constructed with the sketch's key-hash seed (newStore), making the
-// caller's h and any internally computed hash agree on every key.
-type Store interface {
-	Len() int
-	Full() bool
-	Contains(key string) bool
-	// ContainsHashed is Contains from the key's precomputed KeyHash, with no
-	// string conversion and no re-hash.
-	ContainsHashed(key []byte, h uint64) bool
-	Count(key string) (uint64, bool)
-	MinCount() uint64
-	// UpdateMax raises key's recorded size to max(current, v).
-	UpdateMax(key string, v uint64)
-	// UpdateMaxHashed is UpdateMax in a single hash-free probe; absent keys
-	// are ignored.
-	UpdateMaxHashed(key []byte, h uint64, v uint64)
-	// InsertEvict admits key with size v, evicting a minimum entry if full.
-	InsertEvict(key string, v uint64)
-	// InsertEvictHashed is InsertEvict for a byte-slice key with its
-	// precomputed KeyHash; the string is materialized on admission only.
-	InsertEvictHashed(key []byte, h uint64, v uint64)
-	// Top returns up to k entries in descending size order.
-	Top(k int) []Entry
-}
-
-// heapStore adapts minheap.Heap to Store.
-type heapStore struct{ h *minheap.Heap }
-
-func (s heapStore) Len() int                                  { return s.h.Len() }
-func (s heapStore) Full() bool                                { return s.h.Full() }
-func (s heapStore) Contains(key string) bool                  { return s.h.Contains(key) }
-func (s heapStore) ContainsHashed(key []byte, h uint64) bool  { return s.h.ContainsHashed(key, h) }
-func (s heapStore) Count(key string) (uint64, bool)           { return s.h.Count(key) }
-func (s heapStore) MinCount() uint64                          { return s.h.MinCount() }
-func (s heapStore) UpdateMax(key string, v uint64)            { s.h.UpdateMax(key, v) }
-func (s heapStore) UpdateMaxHashed(key []byte, h, v uint64)   { s.h.UpdateMaxHashed(key, h, v) }
-func (s heapStore) InsertEvict(key string, v uint64)          { s.h.Insert(key, v) }
-func (s heapStore) InsertEvictHashed(key []byte, h, v uint64) { s.h.InsertHashed(key, h, v) }
-func (s heapStore) Top(k int) []Entry                         { return convertEntries(s.h.Top(k)) }
-
-// summaryStore adapts streamsummary.Summary to Store.
-type summaryStore struct{ s *streamsummary.Summary }
-
-func (s summaryStore) Len() int                                 { return s.s.Len() }
-func (s summaryStore) Full() bool                               { return s.s.Full() }
-func (s summaryStore) Contains(key string) bool                 { return s.s.Contains(key) }
-func (s summaryStore) ContainsHashed(key []byte, h uint64) bool { return s.s.ContainsHashed(key, h) }
-func (s summaryStore) Count(key string) (uint64, bool)          { return s.s.Count(key) }
-func (s summaryStore) MinCount() uint64                         { return s.s.MinCount() }
-func (s summaryStore) UpdateMaxHashed(key []byte, h, v uint64)  { s.s.UpdateMaxHashed(key, h, v) }
-func (s summaryStore) UpdateMax(key string, v uint64) {
-	if cur, ok := s.s.Count(key); ok && v > cur {
-		s.s.Set(key, v)
-	}
-}
-func (s summaryStore) InsertEvict(key string, v uint64) {
-	if s.s.Full() {
-		s.s.EvictMin()
-	}
-	s.s.Insert(key, v, 0)
-}
-func (s summaryStore) InsertEvictHashed(key []byte, h, v uint64) {
-	if s.s.Full() {
-		s.s.EvictMin()
-	}
-	s.s.InsertHashed(key, h, v, 0)
-}
-func (s summaryStore) Top(k int) []Entry { return convertSummaryEntries(s.s.Top(k)) }
-
-// refStore adapts the map-indexed streamsummary.RefSummary to Store; the
-// precomputed hashes are accepted and discarded (the map re-hashes
-// internally), which is exactly the cost difference StoreSummaryRef exists
-// to measure.
-type refStore struct{ s *streamsummary.RefSummary }
-
-func (s refStore) Len() int                                 { return s.s.Len() }
-func (s refStore) Full() bool                               { return s.s.Full() }
-func (s refStore) Contains(key string) bool                 { return s.s.Contains(key) }
-func (s refStore) ContainsHashed(key []byte, h uint64) bool { return s.s.ContainsHashed(key, h) }
-func (s refStore) Count(key string) (uint64, bool)          { return s.s.Count(key) }
-func (s refStore) MinCount() uint64                         { return s.s.MinCount() }
-func (s refStore) UpdateMaxHashed(key []byte, h, v uint64)  { s.s.UpdateMaxHashed(key, h, v) }
-func (s refStore) UpdateMax(key string, v uint64) {
-	if cur, ok := s.s.Count(key); ok && v > cur {
-		s.s.Set(key, v)
-	}
-}
-func (s refStore) InsertEvict(key string, v uint64) {
-	if s.s.Full() {
-		s.s.EvictMin()
-	}
-	s.s.Insert(key, v, 0)
-}
-func (s refStore) InsertEvictHashed(key []byte, h, v uint64) {
-	if s.s.Full() {
-		s.s.EvictMin()
-	}
-	s.s.InsertHashed(key, h, v, 0)
-}
-func (s refStore) Top(k int) []Entry { return convertSummaryEntries(s.s.Top(k)) }
-
-// convertEntries converts minheap entries to topk entries.
-func convertEntries(items []minheap.Entry) []Entry {
-	out := make([]Entry, len(items))
-	for i, e := range items {
-		out[i] = Entry{Key: e.Key, Count: e.Count}
-	}
-	return out
-}
-
-// convertSummaryEntries converts streamsummary entries to topk entries.
-func convertSummaryEntries(items []streamsummary.Entry) []Entry {
-	out := make([]Entry, len(items))
-	for i, e := range items {
-		out[i] = Entry{Key: e.Key, Count: e.Count}
-	}
-	return out
 }
 
 // Options configures a Tracker.
@@ -200,8 +69,9 @@ type Options struct {
 	// Version selects the insertion discipline. Default Parallel (the
 	// paper's default in §VI-C).
 	Version Version
-	// Store selects the top-k structure. Default StoreSummary, matching the
-	// paper's implementation note.
+	// Store is ignored: every tracker keeps its top-k in Stream-Summary.
+	// The field remains only because the end-to-end benchmark's ledger
+	// still sets it to StoreSummary.
 	Store StoreKind
 	// Sketch configures the underlying HeavyKeeper.
 	Sketch core.Config
@@ -214,8 +84,11 @@ type Options struct {
 
 // Tracker finds the top-k elephant flows in a packet stream.
 type Tracker struct {
-	sk    *core.Sketch
-	store Store
+	sk *core.Sketch
+	// store holds the top-k candidates. Its index hashes under the
+	// sketch's key seed, so the KeyHash computed once per packet indexes
+	// the store directly.
+	store *streamsummary.Summary
 	opts  Options
 }
 
@@ -228,27 +101,7 @@ func New(opts Options) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := newStore(opts.Store, opts.K, sk.KeySeed())
-	if err != nil {
-		return nil, err
-	}
-	return &Tracker{sk: sk, store: store, opts: opts}, nil
-}
-
-// newStore constructs an empty top-k structure of the given kind. seed is
-// the sketch's key-hash seed: the store's index hashes under it, so the
-// KeyHash the tracker computes once per packet indexes the store directly.
-func newStore(kind StoreKind, k int, seed uint64) (Store, error) {
-	switch kind {
-	case StoreHeap:
-		return heapStore{minheap.NewSeeded(k, seed)}, nil
-	case StoreSummary:
-		return summaryStore{streamsummary.NewSeeded(k, seed)}, nil
-	case StoreSummaryRef:
-		return refStore{streamsummary.NewRef(k)}, nil
-	default:
-		return nil, fmt.Errorf("topk: unknown store kind %d", kind)
-	}
+	return &Tracker{sk: sk, store: streamsummary.NewSeeded(opts.K, sk.KeySeed()), opts: opts}, nil
 }
 
 // MustNew is New that panics on error, for tests and examples.
@@ -275,46 +128,28 @@ func (t *Tracker) InsertHashed(key []byte, h uint64) {
 	t.insertHashed(key, h)
 }
 
-// insertHashed dispatches one packet with a precomputed key hash. For the
-// optimized disciplines it implements Algorithm 1/2's three steps: Step 1
-// takes the flow's membership flag, Step 2 inserts into the sketch with
-// Optimization II gating, Step 3 admits to the top-k structure under
-// Optimization I's n̂ = n_min + 1 rule. The generic path below probes the
-// store for the flag on every packet; the default Stream-Summary store
-// skips the probe where the flag cannot matter (insertHashedSummary).
+// insertHashed dispatches one packet with a precomputed key hash.
 func (t *Tracker) insertHashed(key []byte, h uint64) {
 	switch t.opts.Version {
 	case Basic:
 		// §III-C: insert into HeavyKeeper, then update the top-k structure
 		// with the reported estimate.
-		t.admitBasicHashed(key, h, uint64(t.sk.InsertBasicHashed(key, h)))
+		probe, flag := t.store.ProbeHashed(key, h)
+		t.admit(key, h, probe, flag, uint64(t.sk.InsertBasicHashed(key, h)))
 	case Parallel, Minimum:
-		// The default store gets a devirtualized path with the fused
-		// probe-then-update pair (at most one index probe per packet);
-		// other stores go through the interface.
-		if ss, ok := t.store.(summaryStore); ok {
-			t.insertHashedSummary(ss.s, key, h)
-			return
-		}
-		flag := t.store.ContainsHashed(key, h)
-		nmin := t.gateNMin(flag)
-		var est uint64
-		if t.opts.Version == Minimum {
-			est = uint64(t.sk.InsertMinimumHashed(key, h, flag, nmin))
-		} else {
-			est = uint64(t.sk.InsertParallelHashed(key, h, flag, nmin))
-		}
-		t.admitOptimizedHashed(key, h, flag, est)
+		t.insertHashedSummary(key, h)
 	default:
 		panic("topk: invalid version " + t.opts.Version.String())
 	}
 }
 
-// insertHashedSummary is insertHashed for the Parallel/Minimum disciplines
-// against the concrete Stream-Summary store: no interface dispatch, and the
-// store is probed at most once per packet — the handle from ProbeHashed
-// takes the eventual update, valid because nothing between probe and update
-// can unmonitor the entry.
+// insertHashedSummary implements Algorithm 1/2's three steps for the
+// Parallel and Minimum disciplines: Step 1 takes the flow's membership
+// flag, Step 2 inserts into the sketch with Optimization II gating, Step 3
+// admits to the top-k structure under Optimization I's n̂ = n_min + 1 rule.
+// The store is probed at most once per packet — the handle from
+// ProbeHashed takes the eventual update, valid because nothing between
+// probe and update can unmonitor the entry.
 //
 // The Parallel discipline on the default two-array sketch reads its two
 // mapped cells first and probes the store only when the membership flag
@@ -332,9 +167,10 @@ func (t *Tracker) insertHashed(key []byte, h uint64) {
 // So the packet takes flag = false without a probe. A store that is not
 // full admits any estimate, and with n_min = 0 an estimate of 1 admits, so
 // both always probe. Expanded sketches (d != 2) and the Minimum discipline
-// probe every packet. Results are bit-identical to the generic
-// path; FuzzProbeGate and the equivalence tests pin that.
-func (t *Tracker) insertHashedSummary(ss *streamsummary.Summary, key []byte, h uint64) {
+// probe every packet. Results are bit-identical to probing every packet;
+// FuzzProbeGate pins that against an always-probe oracle.
+func (t *Tracker) insertHashedSummary(key []byte, h uint64) {
+	ss := t.store
 	full := ss.Len() >= t.opts.K
 	var minCount uint64
 	if full {
@@ -397,41 +233,22 @@ func (t *Tracker) gateNMin(flag bool) uint32 {
 	return nmin
 }
 
-// admitBasicHashed is the basic-discipline admission rule on the
-// allocation-free hashed store path: a string is materialized only on actual
-// admission, and the packet's single KeyHash h indexes every store probe.
-func (t *Tracker) admitBasicHashed(key []byte, h uint64, est uint64) {
-	switch {
-	case t.store.ContainsHashed(key, h):
-		t.store.UpdateMaxHashed(key, h, est)
-	case !t.store.Full():
-		if est > 0 {
-			t.store.InsertEvictHashed(key, h, est)
-		}
-	case est > t.store.MinCount():
-		t.store.InsertEvictHashed(key, h, est)
-	}
-}
-
-// admitOptimizedHashed is the Algorithm 1/2 Step-3 admission rule on the
-// allocation-free hashed store path.
-func (t *Tracker) admitOptimizedHashed(key []byte, h uint64, flag bool, est uint64) {
+// admit is the admission rule of the basic discipline and of weighted
+// arrivals: a monitored flow (flag, with probe its handle from ProbeHashed)
+// has its size raised to max(size, est); an unmonitored one is admitted
+// when the store has room or est exceeds n_min. A string is materialized
+// only on actual admission.
+func (t *Tracker) admit(key []byte, h uint64, probe streamsummary.Probe, flag bool, est uint64) {
+	ss := t.store
 	switch {
 	case flag:
-		t.store.UpdateMaxHashed(key, h, est)
+		ss.UpdateMaxProbe(probe, est)
 	case est == 0:
-	case !t.store.Full():
-		t.store.InsertEvictHashed(key, h, est)
-	default:
-		if t.opts.DisableOptI {
-			if est > t.store.MinCount() {
-				t.store.InsertEvictHashed(key, h, est)
-			}
-			return
-		}
-		if est == t.store.MinCount()+1 {
-			t.store.InsertEvictHashed(key, h, est)
-		}
+	case !ss.Full():
+		ss.InsertHashed(key, h, est, 0)
+	case est > ss.MinCount():
+		ss.EvictMin()
+		ss.InsertHashed(key, h, est, 0)
 	}
 }
 
@@ -456,7 +273,7 @@ func (t *Tracker) InsertNHashed(key []byte, h uint64, n uint64) {
 }
 
 func (t *Tracker) insertNHashed(key []byte, h uint64, n uint64) {
-	flag := t.store.ContainsHashed(key, h)
+	probe, flag := t.store.ProbeHashed(key, h)
 	nmin := t.gateNMin(flag)
 	var est uint64
 	switch t.opts.Version {
@@ -467,29 +284,25 @@ func (t *Tracker) insertNHashed(key []byte, h uint64, n uint64) {
 	default:
 		est = uint64(t.sk.InsertParallelNHashed(key, h, flag, nmin, n))
 	}
-	switch {
-	case flag:
-		t.store.UpdateMaxHashed(key, h, est)
-	case est == 0:
-	case !t.store.Full():
-		t.store.InsertEvictHashed(key, h, est)
-	case est > t.store.MinCount():
-		t.store.InsertEvictHashed(key, h, est)
-	}
+	t.admit(key, h, probe, flag, est)
 }
 
 // InsertBatch records one packet per key, equivalently to calling Insert on
-// each key in order but cheaper: the sketch's batch path (core batch.go)
-// hashes a chunk of keys at a time in one tight loop — one 64-bit hash per
-// key, from which fingerprint and bucket indexes derive in registers —
-// before touching any bucket. The top-k structure is consulted and updated
-// between keys exactly as in the sequential path, so results are bit-for-bit
-// identical.
+// each key in order but cheaper: each chunk of core.BatchChunk keys is
+// hashed in one tight loop — one 64-bit hash per key, from which
+// fingerprint and bucket indexes derive in registers — before any bucket is
+// touched. Only hashing runs ahead, and it depends on no mutable state, so
+// results are bit-for-bit identical to the sequential path.
 //
-// The Minimum discipline's at-most-one-bucket scan is not batched yet and
-// falls back to the sequential path.
+// There is no prefetch pass ahead of the apply loop: most low-skew packets
+// skip the store probe, and touching every key's home store slot first
+// measured 4–6 % slower end to end on both workloads tried, as did touching
+// the sketch cells in process (doc/performance.md).
 func (t *Tracker) InsertBatch(keys [][]byte) {
-	t.insertBatch(keys, nil)
+	for off := 0; off < len(keys); off += core.BatchChunk {
+		chunk := keys[off:min(off+core.BatchChunk, len(keys))]
+		t.InsertBatchHashed(chunk, t.sk.HashBatch(chunk))
+	}
 }
 
 // InsertBatchHashed is InsertBatch for a caller that already computed
@@ -497,74 +310,16 @@ func (t *Tracker) InsertBatch(keys [][]byte) {
 // router uses it so grouping a batch by shard and ingesting it costs one
 // hash per key in total.
 func (t *Tracker) InsertBatchHashed(keys [][]byte, hashes []uint64) {
-	t.insertBatch(keys, hashes)
-}
-
-func (t *Tracker) insertBatch(keys [][]byte, hashes []uint64) {
 	switch t.opts.Version {
-	case Minimum:
-		if hashes == nil {
-			for _, key := range keys {
-				t.Insert(key)
-			}
-			return
+	case Parallel, Minimum:
+		// The hot loop calls the per-packet body directly, without
+		// insertHashed's per-key dispatch.
+		for i, key := range keys {
+			t.insertHashedSummary(key, hashes[i])
 		}
+	default:
 		for i, key := range keys {
 			t.insertHashed(key, hashes[i])
-		}
-	case Basic:
-		t.sk.InsertParallelBatch(keys, hashes, nil, func(i int, h uint64, est uint32) {
-			t.admitBasicHashed(keys[i], h, uint64(est))
-		})
-	case Parallel:
-		// The default configuration (Parallel × Stream-Summary) gets a fused
-		// loop with the store devirtualized; anything else goes through the
-		// generic closure-based path.
-		if ss, ok := t.store.(summaryStore); ok {
-			t.insertParallelBatchSummary(keys, hashes, ss.s)
-			return
-		}
-		// gate and report run back to back per key, so flag carries from
-		// one closure to the other without a second store lookup.
-		var flag bool
-		t.sk.InsertParallelBatch(keys, hashes,
-			func(i int, h uint64) (bool, uint32) {
-				flag = t.store.ContainsHashed(keys[i], h)
-				return flag, t.gateNMin(flag)
-			},
-			func(i int, h uint64, est uint32) {
-				t.admitOptimizedHashed(keys[i], h, flag, uint64(est))
-			})
-	default:
-		panic("topk: invalid version " + t.opts.Version.String())
-	}
-}
-
-// insertParallelBatchSummary is InsertBatch's hot path: the Parallel
-// discipline against a Stream-Summary store. Per-key work goes through
-// insertHashedSummary — the same devirtualized peek/probe/sketch/admit body
-// the sequential path uses, so the admission rule lives in one place — with
-// no gate/report closures in between. hashes, when non-nil, carries the
-// caller's precomputed KeyHash per key; otherwise each chunk is hashed once
-// here in one tight loop.
-//
-// There is no prefetch pass ahead of the apply loop: most low-skew packets
-// skip the store probe, and touching every key's home store slot first
-// measured 4–6 % slower end to end on both workloads tried, as did touching
-// the sketch cells in process (doc/performance.md).
-func (t *Tracker) insertParallelBatchSummary(keys [][]byte, hashes []uint64, ss *streamsummary.Summary) {
-	if hashes != nil {
-		for i, key := range keys {
-			t.insertHashedSummary(ss, key, hashes[i])
-		}
-		return
-	}
-	for off := 0; off < len(keys); off += core.BatchChunk {
-		end := min(off+core.BatchChunk, len(keys))
-		chunk := keys[off:end]
-		hs := t.sk.HashBatch(chunk)
-		for ci, key := range chunk {
-			t.insertHashedSummary(ss, key, hs[ci])
 		}
 	}
 }
@@ -589,7 +344,7 @@ func (t *Tracker) MergeFrom(other *Tracker) error {
 	}
 	seen := make(map[string]bool, 2*t.opts.K)
 	cands := make([]cand, 0, 2*t.opts.K)
-	for _, entries := range [][]Entry{t.store.Top(t.opts.K), other.store.Top(other.K())} {
+	for _, entries := range [][]Entry{t.Top(), other.Top()} {
 		for _, e := range entries {
 			if seen[e.Key] {
 				continue
@@ -609,14 +364,11 @@ func (t *Tracker) MergeFrom(other *Tracker) error {
 	if len(cands) > t.opts.K {
 		cands = cands[:t.opts.K]
 	}
-	store, err := newStore(t.opts.Store, t.opts.K, t.sk.KeySeed())
-	if err != nil {
-		return err
-	}
+	store := streamsummary.NewSeeded(t.opts.K, t.sk.KeySeed())
 	// Ascending insertion keeps Stream-Summary's recency tie-breaking from
 	// reordering equal counts relative to the sort above.
 	for i := len(cands) - 1; i >= 0; i-- {
-		store.InsertEvict(cands[i].key, cands[i].est)
+		store.Insert(cands[i].key, cands[i].est, 0)
 	}
 	t.store = store
 	return nil
@@ -636,26 +388,23 @@ func (t *Tracker) QueryHashed(key []byte, h uint64) uint64 {
 func (t *Tracker) KeyHash(key []byte) uint64 { return t.sk.KeyHash(key) }
 
 // Top returns the current top-k flows in descending estimated size.
-func (t *Tracker) Top() []Entry { return t.store.Top(t.opts.K) }
+func (t *Tracker) Top() []Entry {
+	items := t.store.Top(t.opts.K)
+	out := make([]Entry, len(items))
+	for i, e := range items {
+		out[i] = Entry{Key: e.Key, Count: e.Count}
+	}
+	return out
+}
 
 // All returns an iterator over the current top-k flows in descending
-// estimated size. For the default Stream-Summary store it streams straight
-// off the bucket list without materializing a slice; other stores fall back
-// to iterating a Top snapshot. The tracker must not be mutated while a
-// streaming iteration is consumed.
+// estimated size, streamed straight off the bucket list without
+// materializing a slice. The tracker must not be mutated while the
+// iteration is consumed.
 func (t *Tracker) All() iter.Seq[Entry] {
-	if ss, ok := t.store.(summaryStore); ok {
-		return func(yield func(Entry) bool) {
-			for e := range ss.s.All() {
-				if !yield(Entry{Key: e.Key, Count: e.Count}) {
-					return
-				}
-			}
-		}
-	}
 	return func(yield func(Entry) bool) {
-		for _, e := range t.store.Top(t.opts.K) {
-			if !yield(e) {
+		for e := range t.store.All() {
+			if !yield(Entry{Key: e.Key, Count: e.Count}) {
 				return
 			}
 		}
@@ -671,22 +420,11 @@ func (t *Tracker) K() int { return t.opts.K }
 func (t *Tracker) Sketch() *core.Sketch { return t.sk }
 
 // StoreIndexStats reports the open-addressed store index's occupancy and
-// probe-length histogram. ok is false when no stats are surfaced for the
-// configured store: StoreSummaryRef is a Go map with no such index, and
-// StoreHeap's index (the heap has one too) is not currently reported.
-func (t *Tracker) StoreIndexStats() (st streamsummary.IndexStats, ok bool) {
-	if ss, isSummary := t.store.(summaryStore); isSummary {
-		return ss.s.IndexStats(), true
-	}
-	return streamsummary.IndexStats{}, false
-}
+// probe-length histogram.
+func (t *Tracker) StoreIndexStats() streamsummary.IndexStats { return t.store.IndexStats() }
 
 // MemoryBytes reports the tracker's logical memory: the sketch plus k
 // top-k entries, using the same accounting as the paper's §VI-A setup.
 func (t *Tracker) MemoryBytes() int {
-	per := streamsummary.BytesPerEntry
-	if t.opts.Store == StoreHeap {
-		per = minheap.BytesPerEntry
-	}
-	return t.sk.MemoryBytes() + t.opts.K*per
+	return t.sk.MemoryBytes() + t.opts.K*streamsummary.BytesPerEntry
 }

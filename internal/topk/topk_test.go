@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/streamsummary"
 	"repro/internal/xrand"
 )
 
@@ -82,9 +83,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{K: 10, Sketch: core.Config{W: 0}}); err == nil {
 		t.Error("invalid sketch config accepted")
 	}
-	if _, err := New(Options{K: 10, Sketch: core.Config{W: 10}, Store: StoreKind(99)}); err == nil {
-		t.Error("unknown store kind accepted")
-	}
 }
 
 func TestVersionString(t *testing.T) {
@@ -97,47 +95,44 @@ func TestVersionString(t *testing.T) {
 }
 
 // TestFindsTopKAllVersionsAndStores is the headline behaviour: on a skewed
-// stream each version/store combination must recover the true top-k with
-// high precision given adequate memory.
+// stream each version must recover the true top-k with high precision
+// given adequate memory. Subtest names carry the store byte a snapshot of
+// the tracker records.
 func TestFindsTopKAllVersionsAndStores(t *testing.T) {
 	stream, exact := zipfStream(t, 200000, 10000, 42)
 	const k = 20
 	truth := trueTopK(exact, k)
 	for _, version := range []Version{Basic, Parallel, Minimum} {
-		for _, store := range []StoreKind{StoreHeap, StoreSummary} {
-			name := fmt.Sprintf("%v/%v", version, store)
-			t.Run(name, func(t *testing.T) {
-				tr := MustNew(Options{
-					K:       k,
-					Version: version,
-					Store:   store,
-					Sketch:  core.Config{W: 1024, Seed: 7},
-				})
-				for _, p := range stream {
-					tr.Insert(p)
-				}
-				got := tr.Top()
-				if len(got) == 0 {
-					t.Fatal("no flows reported")
-				}
-				if p := precision(got, truth); p < 0.9 {
-					t.Errorf("precision = %v, want >= 0.9", p)
-				}
-				// Reported sizes must not exceed the truth (Theorem 2; no
-				// fingerprint collisions expected at this scale with 16-bit
-				// fingerprints over 10k flows... collisions possible but the
-				// admission filter should keep them out of the report).
-				over := 0
-				for _, e := range got {
-					if e.Count > exact[e.Key] {
-						over++
-					}
-				}
-				if over > 1 {
-					t.Errorf("%d reported flows over-estimated", over)
-				}
+		t.Run(fmt.Sprintf("%v/%d", version, StoreSummary), func(t *testing.T) {
+			tr := MustNew(Options{
+				K:       k,
+				Version: version,
+				Sketch:  core.Config{W: 1024, Seed: 7},
 			})
-		}
+			for _, p := range stream {
+				tr.Insert(p)
+			}
+			got := tr.Top()
+			if len(got) == 0 {
+				t.Fatal("no flows reported")
+			}
+			if p := precision(got, truth); p < 0.9 {
+				t.Errorf("precision = %v, want >= 0.9", p)
+			}
+			// Reported sizes must not exceed the truth (Theorem 2; no
+			// fingerprint collisions expected at this scale with 16-bit
+			// fingerprints over 10k flows... collisions possible but the
+			// admission filter should keep them out of the report).
+			over := 0
+			for _, e := range got {
+				if e.Count > exact[e.Key] {
+					over++
+				}
+			}
+			if over > 1 {
+				t.Errorf("%d reported flows over-estimated", over)
+			}
+		})
 	}
 }
 
@@ -256,8 +251,8 @@ func abs(x float64) float64 {
 }
 
 func TestMemoryBytesAccounting(t *testing.T) {
-	tr := MustNew(Options{K: 100, Store: StoreHeap, Sketch: core.Config{W: 1000, FingerprintBits: 16, CounterBits: 16}})
-	want := 2*1000*4 + 100*32
+	tr := MustNew(Options{K: 100, Sketch: core.Config{W: 1000, FingerprintBits: 16, CounterBits: 16}})
+	want := 2*1000*4 + 100*streamsummary.BytesPerEntry
 	if got := tr.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d want %d", got, want)
 	}
@@ -284,20 +279,20 @@ func TestDeterministicTopK(t *testing.T) {
 }
 
 func BenchmarkTrackerInsertParallel(b *testing.B) {
-	benchInsert(b, Parallel, StoreSummary)
+	benchInsert(b, Parallel)
 }
 
 func BenchmarkTrackerInsertMinimum(b *testing.B) {
-	benchInsert(b, Minimum, StoreSummary)
+	benchInsert(b, Minimum)
 }
 
-func BenchmarkTrackerInsertBasicHeap(b *testing.B) {
-	benchInsert(b, Basic, StoreHeap)
+func BenchmarkTrackerInsertBasic(b *testing.B) {
+	benchInsert(b, Basic)
 }
 
-func benchInsert(b *testing.B, v Version, s StoreKind) {
+func benchInsert(b *testing.B, v Version) {
 	stream, _ := zipfStream(b, 1<<17, 20000, 1)
-	tr := MustNew(Options{K: 100, Version: v, Store: s, Sketch: core.Config{W: 4096, Seed: 1}})
+	tr := MustNew(Options{K: 100, Version: v, Sketch: core.Config{W: 4096, Seed: 1}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Insert(stream[i&(len(stream)-1)])

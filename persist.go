@@ -247,12 +247,6 @@ func configFromTrackerOptions(o topk.Options) config {
 		cfg.version = VersionParallel
 	}
 	cfg.versionSet = true
-	switch o.Store {
-	case topk.StoreHeap:
-		cfg.useHeap = true
-	case topk.StoreSummaryRef:
-		cfg.useMapStore = true
-	}
 	return cfg
 }
 

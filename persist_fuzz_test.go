@@ -17,7 +17,7 @@ func fuzzSnapshotCorpus(f *testing.F) {
 		nil,
 		{WithConcurrency()},
 		{WithShards(2)},
-		{WithMinHeap()},
+		{WithVersion(VersionMinimum)},
 	} {
 		s := MustNew(5, append([]Option{WithSeed(1), WithMemory(4 << 10)}, opts...)...)
 		ingestZipfish(s, 50, 2000)

@@ -16,6 +16,12 @@ func patchU32(raw []byte, off int, v uint32) []byte {
 	return out
 }
 
+func patchByte(raw []byte, off int, v byte) []byte {
+	out := append([]byte(nil), raw...)
+	out[off] = v
+	return out
+}
+
 // ingestZipfish feeds a deterministic skewed keyset: flow i appears
 // roughly n/(i+1) times, so the top of the distribution is stable.
 func ingestZipfish(s Summarizer, flows, packets int) {
@@ -61,8 +67,6 @@ func TestSnapshotRoundTripFrontends(t *testing.T) {
 	}{
 		{"topk", nil},
 		{"topk-minimum", []Option{WithVersion(VersionMinimum)}},
-		{"topk-heap", []Option{WithMinHeap()}},
-		{"topk-mapstore", []Option{WithMapStore()}},
 		{"concurrent", []Option{WithConcurrency()}},
 		{"sharded", []Option{WithShards(4)}},
 	}
@@ -200,6 +204,19 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 		// giant allocation or a makeslice panic.
 		{"huge k", patchU32(raw, 9, 1<<28)},
 		{"huge geometry", patchU32(patchU32(raw, 13, 3037000500), 17, 3037000500)},
+		// The store byte sits behind the prefix and the section and version
+		// bytes, at 7; Stream-Summary (1) is the only store it may name.
+		{"store byte 0", patchByte(raw, 7, 0)},
+		{"store byte 2", patchByte(raw, 7, 2)},
+		// The container ends with the top-k entries, 22 bytes each (u32
+		// length, a 10-byte key, u64 count). An entry repeating its
+		// predecessor's key must be rejected, not panic in the store.
+		{"duplicate entry", func() []byte {
+			out := append([]byte(nil), raw...)
+			n := len(out)
+			copy(out[n-18:n-8], out[n-40:n-30])
+			return out
+		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ReadSummarizer(bytes.NewReader(tc.data)); !errors.Is(err, ErrCorrupt) {
@@ -239,8 +256,8 @@ func snapshotFrameBoundaries(t *testing.T, raw []byte) []int {
 }
 
 // checksummedFrontends is the frontend-kind matrix the corruption
-// fallback tests sweep: every container kind and store variant that can
-// appear inside an envelope.
+// fallback tests sweep: every container kind, and both optimized
+// disciplines, that can appear inside an envelope.
 func checksummedFrontends() []struct {
 	name string
 	opts []Option
@@ -251,8 +268,6 @@ func checksummedFrontends() []struct {
 	}{
 		{"topk", nil},
 		{"topk-minimum", []Option{WithVersion(VersionMinimum)}},
-		{"topk-heap", []Option{WithMinHeap()}},
-		{"topk-mapstore", []Option{WithMapStore()}},
 		{"concurrent", []Option{WithConcurrency()}},
 		{"sharded", []Option{WithShards(3)}},
 	}

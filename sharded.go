@@ -424,7 +424,7 @@ func (s *Sharded) MemoryBytes() int {
 
 // StoreIndexStats aggregates the per-shard store index statistics: sizes and
 // occupancy sum, probe histograms add bin-wise, MaxProbe is the worst shard.
-// ok is false when the configured store has no open-addressed index.
+// ok is false when the shards run a registry engine, which has no such index.
 func (s *Sharded) StoreIndexStats() (StoreIndexStats, bool) {
 	var total StoreIndexStats
 	for i := range s.shards {

@@ -61,8 +61,9 @@ type Summarizer interface {
 }
 
 // StoreIndexReporter is optionally implemented by frontends whose top-k
-// store surfaces open-addressed index statistics (TopK and Sharded with the
-// default store); hkbench type-asserts it to report index pressure.
+// store surfaces open-addressed index statistics (TopK, Concurrent and
+// Sharded on HeavyKeeper); hkbench type-asserts it to report index
+// pressure.
 type StoreIndexReporter interface {
 	StoreIndexStats() (StoreIndexStats, bool)
 }

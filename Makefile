@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt test race bench bench-smoke bench-compare bench-ab docs-lint fuzz-smoke examples algo-smoke hkd-smoke chaos-smoke cluster-smoke sdk-smoke obs-smoke
+.PHONY: build vet fmt test race bench bench-smoke bench-compare bench-ab bench-check docs-lint fuzz-smoke examples algo-smoke hkd-smoke chaos-smoke cluster-smoke sdk-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -20,10 +20,11 @@ test:
 	$(GO) test ./...
 
 # race covers the packages with concurrency surface (root package: Concurrent,
-# Sharded) and the sketch core under them; the full tree under -race takes
-# tens of minutes (internal/vswitch alone runs >2 min without it).
+# Sharded; internal/vswitch: the lock-free SPSC ring and its pipeline) and the
+# sketch core under them. internal/vswitch takes a few seconds of test time
+# under -race; most of its wall time is the race build.
 race:
-	$(GO) test -race -count=1 . ./internal/core ./internal/topk ./internal/streamsummary ./internal/cluster ./internal/collector ./internal/obs ./server ./wire ./client
+	$(GO) test -race -count=1 . ./internal/core ./internal/topk ./internal/streamsummary ./internal/cluster ./internal/collector ./internal/obs ./internal/vswitch ./server ./wire ./client
 
 bench:
 	$(GO) test -run - -bench Ingest -benchtime 1s .
@@ -91,6 +92,14 @@ bench-ab:
 		cp "$$tmp/change.jsonl" "$(AB_OUT)/$(WORKLOAD)-change.jsonl"; fi; \
 	echo "== $(WORKLOAD): $(BASE) (base) against the working tree (change), $(PAIRS) pairs"; \
 	$(GO) run ./cmd/benchab -spec BENCHMARK.json "$$tmp/base.jsonl" "$$tmp/change.jsonl"
+
+# bench-check vets and tests the end-to-end benchmark (bench/), which is its
+# own Go module, so build, vet and test above never compile it: an API it
+# calls could vanish with every other target green. Its TestQuick runs all
+# four workloads at quick scale (CI runs this target). It never runs
+# `go build ./...` inside bench/, which would leave a bench/bench binary.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # docs-lint checks that relative links in README.md and doc/*.md resolve and
 # that fenced ```go snippets are gofmt-formatted (CI runs this target).

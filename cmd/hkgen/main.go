@@ -1,5 +1,5 @@
 // Command hkgen generates the synthetic packet traces of the HeavyKeeper
-// reproduction (campus, CAIDA and Zipf workloads; see DESIGN.md §3) and
+// reproduction (campus, CAIDA and Zipf workloads; see package internal/gen) and
 // writes them in the binary trace format read by hktopk and hkbench.
 //
 // Usage:

@@ -122,10 +122,6 @@ func NewRing(cfg RingConfig, nodes []string) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the member list in construction order. Callers must not
-// modify the returned slice.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Replicas returns how many distinct nodes each key routes to: the
 // configured MaxReplica clamped to the cluster size.
 func (r *Ring) Replicas() int {
@@ -135,21 +131,13 @@ func (r *Ring) Replicas() int {
 	return r.replicas
 }
 
-// Locations appends the indices (into Nodes) of the replica set for key to
-// dst and returns it. The first index is the key's primary owner; the rest
-// follow in ring order. Reusing dst across calls makes the per-packet
-// routing step allocation-free in the bench fan-out path.
+// Locations appends the indices (into the node list NewRing was given) of
+// the replica set for key to dst and returns it. The first index is the
+// key's primary owner; the rest follow in ring order. Reusing dst across
+// calls makes the per-packet routing step allocation-free in the bench
+// fan-out path.
 func (r *Ring) Locations(dst []int, key []byte) []int {
-	return r.locations(dst, hash.Sum64(r.seed, key))
-}
-
-// LocationsHashed is Locations for a key hashed by the caller (with the
-// ring's seed), for paths that already paid the key walk.
-func (r *Ring) LocationsHashed(dst []int, keyHash uint64) []int {
-	return r.locations(dst, keyHash)
-}
-
-func (r *Ring) locations(dst []int, kh uint64) []int {
+	kh := hash.Sum64(r.seed, key)
 	want := r.Replicas()
 	// First point clockwise of the key, wrapping at the top of the ring.
 	start := sort.Search(len(r.points), func(i int) bool {
@@ -162,17 +150,6 @@ func (r *Ring) locations(dst []int, kh uint64) []int {
 		}
 	}
 	return dst
-}
-
-// Owns reports whether node (an index into Nodes) is in key's replica set.
-func (r *Ring) Owns(node int, key []byte) bool {
-	var buf [DefaultMaxReplica]int
-	for _, n := range r.locations(buf[:0], hash.Sum64(r.seed, key)) {
-		if n == node {
-			return true
-		}
-	}
-	return false
 }
 
 // containsInt is a linear scan; replica sets are tiny (typically 2-3).

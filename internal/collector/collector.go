@@ -2,7 +2,7 @@
 // deployment pattern of the HeavyKeeper paper's footnote 2: measurement
 // points (switches) each run their own sketch over their share of the
 // traffic and periodically report to a central collector, which folds the
-// reports — or the raw sketches — into a global top-k per epoch.
+// reports — or the raw sketches — into a global top-k.
 //
 // Two aggregation modes are provided:
 //
@@ -15,13 +15,10 @@
 //     by bucket and re-extracts the top-k, recovering flows whose traffic
 //     was spread so thin that no single agent reported them.
 //
-// The stateful Collector aligns asynchronous agents on epoch boundaries
-// with two panes, mirroring the two-pane Window frontend on the agents:
-// reports for the current epoch land in the active pane, reports for the
-// next epoch (an agent that rotated before the collector did) are staged
-// in the second pane and become active at Rotate. An agent more than one
-// epoch ahead — or any epoch behind — is rejected, so a wedged clock
-// cannot silently smear two measurement periods together.
+// The package keeps no per-epoch state: hkagg (internal/cluster) folds the
+// members' reports with MergeReports on every collect, so aligning members
+// on epoch boundaries belongs there, where the fold runs (an open item in
+// ROADMAP.md).
 package collector
 
 import (
@@ -29,7 +26,6 @@ import (
 	"fmt"
 	"sort"
 
-	heavykeeper "repro"
 	"repro/internal/metrics"
 )
 
@@ -46,39 +42,23 @@ const (
 	Max
 )
 
-// Typed validation and lifecycle errors; callers branch with errors.Is.
-// Malformed report shapes reuse heavykeeper.ErrMergeMismatch, the same
-// error the Summarizer merge path reports for incompatible inputs.
+// Typed validation errors; callers branch with errors.Is.
 var (
 	// ErrInvalidK is returned for a global report size below 1.
 	ErrInvalidK = errors.New("collector: k must be >= 1")
 	// ErrInvalidPolicy is returned for a Policy that is neither Sum nor Max.
 	ErrInvalidPolicy = errors.New("collector: unknown policy")
-	// ErrClosed is returned by Report, Rotate and Close once the collector
-	// has been closed.
-	ErrClosed = errors.New("collector: closed")
-	// ErrEpochSkew is returned by ReportAt for an epoch the two panes
-	// cannot hold: behind the current epoch, or more than one ahead.
-	ErrEpochSkew = errors.New("collector: report epoch out of range")
 )
-
-// validate checks the shared k/policy parameters.
-func validate(k int, policy Policy) error {
-	if k < 1 {
-		return fmt.Errorf("%w: got %d", ErrInvalidK, k)
-	}
-	if policy != Sum && policy != Max {
-		return fmt.Errorf("%w: %d", ErrInvalidPolicy, int(policy))
-	}
-	return nil
-}
 
 // MergeReports folds per-agent top-k reports into a global top-k of size
 // k. Ties (equal combined counts) break by ascending key, so the global
 // report is deterministic regardless of agent arrival order.
 func MergeReports(k int, policy Policy, reports ...[]metrics.Entry) ([]metrics.Entry, error) {
-	if err := validate(k, policy); err != nil {
-		return nil, err
+	if k < 1 {
+		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
+	}
+	if policy != Sum && policy != Max {
+		return nil, fmt.Errorf("%w: %d", ErrInvalidPolicy, int(policy))
 	}
 	merged := map[string]uint64{}
 	for _, rep := range reports {
@@ -107,119 +87,4 @@ func MergeReports(k int, policy Policy, reports ...[]metrics.Entry) ([]metrics.E
 		out = out[:k]
 	}
 	return out, nil
-}
-
-// Collector accumulates per-epoch agent reports and produces global top-k
-// snapshots. It is a bookkeeping convenience over MergeReports for
-// long-running deployments; see the package comment for the two-pane
-// epoch-alignment contract. Not safe for concurrent use.
-type Collector struct {
-	k      int
-	policy Policy
-	epoch  uint64
-	closed bool
-	// pending[0] holds the current epoch's reports by agent; pending[1]
-	// stages reports from agents that already rotated into epoch+1.
-	pending [2]map[string][]metrics.Entry
-}
-
-// New returns a Collector producing global top-k of size k.
-func New(k int, policy Policy) (*Collector, error) {
-	if err := validate(k, policy); err != nil {
-		return nil, err
-	}
-	c := &Collector{k: k, policy: policy}
-	c.pending[0] = map[string][]metrics.Entry{}
-	c.pending[1] = map[string][]metrics.Entry{}
-	return c, nil
-}
-
-// Report records agent's top-k for the current epoch, replacing any earlier
-// report from the same agent in this epoch (agents may resend).
-func (c *Collector) Report(agent string, report []metrics.Entry) error {
-	return c.ReportAt(agent, c.epoch, report)
-}
-
-// ReportAt records agent's top-k for an explicit epoch: the current epoch
-// lands in the active pane, epoch+1 is staged for the next Rotate (the
-// agent's window rotated before the collector closed this epoch), and
-// anything else is rejected with ErrEpochSkew. A report naming the same
-// flow twice is malformed — its counts cannot be combined unambiguously —
-// and is rejected with an error matching heavykeeper.ErrMergeMismatch.
-func (c *Collector) ReportAt(agent string, epoch uint64, report []metrics.Entry) error {
-	if c.closed {
-		return ErrClosed
-	}
-	var pane int
-	switch epoch {
-	case c.epoch:
-		pane = 0
-	case c.epoch + 1:
-		pane = 1
-	default:
-		return fmt.Errorf("%w: agent %q reported epoch %d, collector is at %d",
-			ErrEpochSkew, agent, epoch, c.epoch)
-	}
-	seen := make(map[string]struct{}, len(report))
-	for _, e := range report {
-		if _, dup := seen[e.Key]; dup {
-			return fmt.Errorf("%w: agent %q report names flow %q twice",
-				heavykeeper.ErrMergeMismatch, agent, e.Key)
-		}
-		seen[e.Key] = struct{}{}
-	}
-	cp := make([]metrics.Entry, len(report))
-	copy(cp, report)
-	c.pending[pane][agent] = cp
-	return nil
-}
-
-// Agents returns how many agents have reported this epoch.
-func (c *Collector) Agents() int { return len(c.pending[0]) }
-
-// Epoch returns the number of completed epochs.
-func (c *Collector) Epoch() uint64 { return c.epoch }
-
-// Rotate finishes the current epoch: it merges the active pane's reports
-// into the global top-k, promotes the staged pane (reports already
-// received for the next epoch) to active, and advances the epoch counter.
-func (c *Collector) Rotate() ([]metrics.Entry, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	merged, err := c.mergePending()
-	if err != nil {
-		return nil, err
-	}
-	c.pending[0] = c.pending[1]
-	c.pending[1] = map[string][]metrics.Entry{}
-	c.epoch++
-	return merged, nil
-}
-
-// Close finishes the final epoch and retires the collector: it merges the
-// active pane like Rotate, then marks the collector closed so any further
-// Report, Rotate or Close returns ErrClosed. Staged next-epoch reports are
-// discarded — their epoch will never complete.
-func (c *Collector) Close() ([]metrics.Entry, error) {
-	if c.closed {
-		return nil, ErrClosed
-	}
-	merged, err := c.mergePending()
-	if err != nil {
-		return nil, err
-	}
-	c.closed = true
-	c.pending[0] = nil
-	c.pending[1] = nil
-	return merged, nil
-}
-
-// mergePending folds the active pane through MergeReports.
-func (c *Collector) mergePending() ([]metrics.Entry, error) {
-	reports := make([][]metrics.Entry, 0, len(c.pending[0]))
-	for _, r := range c.pending[0] {
-		reports = append(reports, r)
-	}
-	return MergeReports(c.k, c.policy, reports...)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	heavykeeper "repro"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/topk"
@@ -18,12 +17,6 @@ func TestMergeReportsValidation(t *testing.T) {
 	}
 	if _, err := MergeReports(5, Policy(9)); !errors.Is(err, ErrInvalidPolicy) {
 		t.Errorf("bad policy: err = %v want ErrInvalidPolicy", err)
-	}
-	if _, err := New(0, Sum); !errors.Is(err, ErrInvalidK) {
-		t.Errorf("New k=0: err = %v want ErrInvalidK", err)
-	}
-	if _, err := New(5, Policy(9)); !errors.Is(err, ErrInvalidPolicy) {
-		t.Errorf("New bad policy: err = %v want ErrInvalidPolicy", err)
 	}
 }
 
@@ -55,123 +48,18 @@ func TestMergeReportsMax(t *testing.T) {
 	}
 }
 
-func TestCollectorEpochs(t *testing.T) {
-	c, err := New(3, Sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustReport(t, c, "sw1", []metrics.Entry{{Key: "a", Count: 5}})
-	mustReport(t, c, "sw2", []metrics.Entry{{Key: "a", Count: 7}, {Key: "b", Count: 3}})
-	mustReport(t, c, "sw1", []metrics.Entry{{Key: "a", Count: 6}}) // resend replaces
-	if c.Agents() != 2 {
-		t.Fatalf("Agents = %d want 2", c.Agents())
-	}
-	top, err := c.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top[0].Key != "a" || top[0].Count != 13 {
-		t.Errorf("epoch report %v", top)
-	}
-	if c.Epoch() != 1 || c.Agents() != 0 {
-		t.Errorf("epoch state not advanced: epoch=%d agents=%d", c.Epoch(), c.Agents())
-	}
-}
-
-func mustReport(t *testing.T, c *Collector, agent string, rep []metrics.Entry) {
-	t.Helper()
-	if err := c.Report(agent, rep); err != nil {
-		t.Fatalf("Report(%q): %v", agent, err)
-	}
-}
-
-// TestCollectorEpochAlignment exercises the two-pane staging: an agent that
-// rotates ahead of the collector lands in the staged pane and surfaces in
-// the next epoch; agents further askew are rejected with ErrEpochSkew.
-func TestCollectorEpochAlignment(t *testing.T) {
-	c, _ := New(3, Sum)
-	mustReport(t, c, "sw1", []metrics.Entry{{Key: "a", Count: 5}})
-	// sw2 already rotated into epoch 1: staged, not part of epoch 0.
-	if err := c.ReportAt("sw2", 1, []metrics.Entry{{Key: "b", Count: 9}}); err != nil {
-		t.Fatalf("epoch+1 report rejected: %v", err)
-	}
-	if err := c.ReportAt("sw3", 2, nil); !errors.Is(err, ErrEpochSkew) {
-		t.Errorf("epoch+2: err = %v want ErrEpochSkew", err)
-	}
-	top, err := c.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 1 || top[0].Key != "a" {
-		t.Errorf("epoch 0 report %v want only flow a", top)
-	}
-	// The staged pane became active: sw2's report belongs to epoch 1.
-	if c.Agents() != 1 {
-		t.Fatalf("staged report not promoted: Agents = %d", c.Agents())
-	}
-	// A stale report for the finished epoch 0 is now behind the collector.
-	if err := c.ReportAt("sw4", 0, nil); !errors.Is(err, ErrEpochSkew) {
-		t.Errorf("stale epoch: err = %v want ErrEpochSkew", err)
-	}
-	top, err = c.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 1 || top[0].Key != "b" || top[0].Count != 9 {
-		t.Errorf("epoch 1 report %v want flow b=9", top)
-	}
-}
-
-func TestCollectorEmptyReports(t *testing.T) {
-	c, _ := New(3, Sum)
-	mustReport(t, c, "sw1", nil)
-	mustReport(t, c, "sw2", []metrics.Entry{})
-	if c.Agents() != 2 {
-		t.Fatalf("empty reports not recorded: Agents = %d", c.Agents())
-	}
-	top, err := c.Rotate()
+// TestMergeReportsEmptyReports: members with nothing to report (a fresh or
+// idle hkd) contribute nil or empty reports, which fold to nothing.
+func TestMergeReportsEmptyReports(t *testing.T) {
+	top, err := MergeReports(3, Sum, nil, []metrics.Entry{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(top) != 0 {
-		t.Errorf("empty epoch produced %v", top)
+		t.Errorf("empty reports produced %v", top)
 	}
-	// An epoch with no reports at all is also fine.
-	if top, err = c.Rotate(); err != nil || len(top) != 0 {
-		t.Errorf("reportless epoch: top=%v err=%v", top, err)
-	}
-}
-
-func TestCollectorDuplicateFlowInReport(t *testing.T) {
-	c, _ := New(3, Sum)
-	err := c.Report("sw1", []metrics.Entry{{Key: "a", Count: 1}, {Key: "a", Count: 2}})
-	if !errors.Is(err, heavykeeper.ErrMergeMismatch) {
-		t.Errorf("duplicate flow: err = %v want ErrMergeMismatch", err)
-	}
-	// The malformed report must not have been recorded.
-	if c.Agents() != 0 {
-		t.Errorf("malformed report recorded: Agents = %d", c.Agents())
-	}
-}
-
-func TestCollectorCloseIsTerminal(t *testing.T) {
-	c, _ := New(2, Sum)
-	mustReport(t, c, "sw1", []metrics.Entry{{Key: "a", Count: 4}})
-	top, err := c.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 1 || top[0].Count != 4 {
-		t.Errorf("final epoch %v", top)
-	}
-	if _, err := c.Close(); !errors.Is(err, ErrClosed) {
-		t.Errorf("second Close: err = %v want ErrClosed", err)
-	}
-	if _, err := c.Rotate(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Rotate after Close: err = %v want ErrClosed", err)
-	}
-	if err := c.Report("sw1", nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("Report after Close: err = %v want ErrClosed", err)
+	if top, err = MergeReports(3, Max); err != nil || len(top) != 0 {
+		t.Errorf("no reports: top=%v err=%v", top, err)
 	}
 }
 
@@ -196,14 +84,17 @@ func TestMergeReportsMaxTies(t *testing.T) {
 	}
 }
 
+// TestReportMutationIsolation: the global report shares no memory with the
+// inputs, so a caller may reuse its report buffers after the fold.
 func TestReportMutationIsolation(t *testing.T) {
-	c, _ := New(2, Sum)
 	rep := []metrics.Entry{{Key: "a", Count: 1}}
-	c.Report("sw", rep)
+	top, err := MergeReports(2, Sum, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rep[0].Count = 999
-	top, _ := c.Close()
 	if top[0].Count != 1 {
-		t.Error("collector aliased the caller's slice")
+		t.Error("MergeReports aliased the caller's slice")
 	}
 }
 
@@ -228,15 +119,13 @@ func TestDistributedTopK(t *testing.T) {
 		// Flows are pinned to switches by hash — disjoint traffic.
 		trackers[f%switches].Insert([]byte(key))
 	}
-	c, _ := New(k, Sum)
+	reports := make([][]metrics.Entry, len(trackers))
 	for i, tr := range trackers {
-		var rep []metrics.Entry
 		for _, e := range tr.Top() {
-			rep = append(rep, metrics.Entry{Key: e.Key, Count: e.Count})
+			reports[i] = append(reports[i], metrics.Entry{Key: e.Key, Count: e.Count})
 		}
-		c.Report(fmt.Sprintf("sw%d", i), rep)
 	}
-	global, err := c.Close()
+	global, err := MergeReports(k, Sum, reports...)
 	if err != nil {
 		t.Fatal(err)
 	}

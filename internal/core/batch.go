@@ -38,7 +38,7 @@ func (s *Sketch) HashBatch(keys [][]byte) []uint64 {
 	return hs
 }
 
-// InsertParallelBatch is InsertParallel over a batch of keys with the
+// InsertParallelBatch is InsertParallelHashed over a batch of keys with the
 // Optimization II gate open (inHeap = true), which is the basic discipline.
 // hashes, when non-nil, must hold KeyHash(keys[i]) for every i (a caller
 // that already hashed each key passes them through so nothing is hashed

@@ -90,7 +90,7 @@ func TestInsertParallelBatchMatchesSequential(t *testing.T) {
 
 	want := make([]uint32, len(stream))
 	for i, k := range stream {
-		want[i] = seq.InsertParallel(k, true, 0xffffffff)
+		want[i] = seq.InsertParallelHashed(k, seq.KeyHash(k), true, 0xffffffff)
 	}
 	got := make([]uint32, len(stream))
 	bat.InsertParallelBatch(stream, nil, func(i int, _ uint64, est uint32) { got[i] = est })

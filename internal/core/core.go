@@ -281,9 +281,6 @@ func (s *Sketch) locateHash(h uint64) ([]int, uint32) {
 	return pos, s.fingerprintOf(h)
 }
 
-// Fingerprint returns the sketch's fingerprint for key.
-func (s *Sketch) Fingerprint(key []byte) uint32 { return s.fingerprintOf(s.KeyHash(key)) }
-
 // fingerprintOf derives the fingerprint from key hash h, remapped away from
 // 0, which marks an empty cell.
 func (s *Sketch) fingerprintOf(h uint64) uint32 {
@@ -335,22 +332,15 @@ func (s *Sketch) insertBasicAt(pos []int, fp uint32) uint32 {
 	return s.insertParallelAt(pos, fp, true, 0)
 }
 
-// InsertParallel records one packet of flow key using the Hardware Parallel
-// discipline (§III-E, Algorithm 1 lines 4–22). inHeap and nmin carry the
-// top-k structure's state for Optimization II (selective increment): a
-// matching counter is incremented only when the flow is already monitored
-// (inHeap) or its counter is still below nmin. The return value is
-// Algorithm 1's HeavyK_V: the estimate established by this insertion, and 0
-// if no bucket accepted the flow.
-func (s *Sketch) InsertParallel(key []byte, inHeap bool, nmin uint32) uint32 {
-	return s.InsertParallelHashed(key, s.KeyHash(key), inHeap, nmin)
-}
-
-// InsertParallelHashed is InsertParallel for a caller that precomputed
-// KeyHash. Semantics, statistics and RNG consumption are identical to
-// InsertParallel(key, inHeap, nmin). The common shape — a sketch at the
-// default d = 2 — is located by Locate2 and enters the two-cell update
-// body directly.
+// InsertParallelHashed records one packet of flow key, whose KeyHash is h,
+// using the Hardware Parallel discipline (§III-E, Algorithm 1 lines 4–22).
+// inHeap and nmin carry the top-k structure's state for Optimization II
+// (selective increment): a matching counter is incremented only when the
+// flow is already monitored (inHeap) or its counter is still below nmin.
+// The return value is Algorithm 1's HeavyK_V: the estimate established by
+// this insertion, and 0 if no bucket accepted the flow. The common shape —
+// a sketch at the default d = 2 — is located by Locate2 and enters the
+// two-cell update body directly.
 func (s *Sketch) InsertParallelHashed(key []byte, h uint64, inHeap bool, nmin uint32) uint32 {
 	if l, ok := s.Locate2(h); ok {
 		return s.insertParallel2At(l.p0, l.p1, l.fp, inHeap, nmin)
@@ -580,8 +570,9 @@ func (s *Sketch) insertParallel2At(p0, p1 int, fp uint32, inHeap bool, nmin uint
 	return est
 }
 
-// InsertMinimum records one packet of flow key using the Software Minimum
-// discipline (§IV, Algorithm 2): at most one mapped bucket changes.
+// InsertMinimumHashed records one packet of flow key, whose KeyHash is h,
+// using the Software Minimum discipline (§IV, Algorithm 2): at most one
+// mapped bucket changes.
 //
 // Situation 1: a mapped bucket already holds key's fingerprint — increment
 // it (subject to Optimization II gating). Situation 2: no match but an empty
@@ -589,11 +580,6 @@ func (s *Sketch) insertParallel2At(p0, p1 int, fp uint32, inHeap bool, nmin uint
 // decay only the smallest mapped counter.
 //
 // The return value is Algorithm 2's HeavyK_V (0 when nothing was updated).
-func (s *Sketch) InsertMinimum(key []byte, inHeap bool, nmin uint32) uint32 {
-	return s.InsertMinimumHashed(key, s.KeyHash(key), inHeap, nmin)
-}
-
-// InsertMinimumHashed is InsertMinimum for a caller that precomputed KeyHash.
 func (s *Sketch) InsertMinimumHashed(key []byte, h uint64, inHeap bool, nmin uint32) uint32 {
 	pos, fp := s.locateHash(h)
 	return s.insertMinimumAt(pos, fp, inHeap, nmin)
@@ -712,17 +698,6 @@ func (s *Sketch) noteBlocked(blocked bool) {
 	s.d++
 	s.overflow = 0
 	s.stats.Expansions++
-}
-
-// OverflowCount returns the current value of the §III-F global counter.
-func (s *Sketch) OverflowCount() uint64 { return s.overflow }
-
-// Reset clears all buckets and statistics while keeping configuration,
-// seeds and any expanded arrays.
-func (s *Sketch) Reset() {
-	clear(s.slab)
-	s.stats = Stats{}
-	s.overflow = 0
 }
 
 // ErrCorrupt is returned by decoding when the byte stream is not a valid

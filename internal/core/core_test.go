@@ -50,9 +50,9 @@ func TestSingleFlowCountsExactly(t *testing.T) {
 			case "basic":
 				s.InsertBasic(k)
 			case "parallel":
-				s.InsertParallel(k, true, 0)
+				s.InsertParallelHashed(k, s.KeyHash(k), true, 0)
 			case "minimum":
-				s.InsertMinimum(k, true, 0)
+				s.InsertMinimumHashed(k, s.KeyHash(k), true, 0)
 			}
 		}
 		got := s.Query(k)
@@ -91,13 +91,14 @@ func TestNoOverestimation(t *testing.T) {
 			for i := 0; i < 50000; i++ {
 				f := int(rng.Uint64n(rng.Uint64n(300) + 1)) // skewed
 				truth[uint32OK(f)]++
+				k := key(f)
 				switch version {
 				case "basic":
-					s.InsertBasic(key(f))
+					s.InsertBasic(k)
 				case "parallel":
-					s.InsertParallel(key(f), false, math.MaxUint32)
+					s.InsertParallelHashed(k, s.KeyHash(k), false, math.MaxUint32)
 				case "minimum":
-					s.InsertMinimum(key(f), false, math.MaxUint32)
+					s.InsertMinimumHashed(k, s.KeyHash(k), false, math.MaxUint32)
 				}
 			}
 			for f, n := range truth {
@@ -190,20 +191,20 @@ func TestParallelSelectiveIncrement(t *testing.T) {
 	// exactly nmin+1 and is then frozen.
 	s := MustNew(Config{W: 8, Seed: 1})
 	k := key(3)
-	s.InsertParallel(k, true, 0) // establish with C=1
+	s.InsertParallelHashed(k, s.KeyHash(k), true, 0) // establish with C=1
 	for i := 0; i < 10; i++ {
-		s.InsertParallel(k, false, 1) // gate: C <= 1 allows one increment to 2
+		s.InsertParallelHashed(k, s.KeyHash(k), false, 1) // gate: C <= 1 allows one increment to 2
 	}
 	if got := s.Query(k); got != 2 {
 		t.Errorf("counter = %d, want frozen at nmin+1 = 2", got)
 	}
 	// Monitored flows are never gated.
-	s.InsertParallel(k, true, 1)
+	s.InsertParallelHashed(k, s.KeyHash(k), true, 1)
 	if got := s.Query(k); got != 3 {
 		t.Errorf("monitored increment failed: counter = %d want 3", got)
 	}
 	// With a generous nmin the increment proceeds too.
-	s.InsertParallel(k, false, 100)
+	s.InsertParallelHashed(k, s.KeyHash(k), false, 100)
 	if got := s.Query(k); got != 4 {
 		t.Errorf("increment under nmin failed: counter = %d want 4", got)
 	}
@@ -214,11 +215,13 @@ func TestMinimumTouchesAtMostOneBucket(t *testing.T) {
 	rng := xrand.NewXorshift64Star(3)
 	// Preload some state.
 	for i := 0; i < 5000; i++ {
-		s.InsertMinimum(key(int(rng.Uint64n(500))), true, 0)
+		k := key(int(rng.Uint64n(500)))
+		s.InsertMinimumHashed(k, s.KeyHash(k), true, 0)
 	}
 	for trial := 0; trial < 2000; trial++ {
+		k := key(int(rng.Uint64n(1000)))
 		before := s.snapshotBuckets()
-		s.InsertMinimum(key(int(rng.Uint64n(1000))), true, 0)
+		s.InsertMinimumHashed(k, s.KeyHash(k), true, 0)
 		changed := 0
 		after := s.snapshotBuckets()
 		for i := range before {
@@ -227,7 +230,7 @@ func TestMinimumTouchesAtMostOneBucket(t *testing.T) {
 			}
 		}
 		if changed > 1 {
-			t.Fatalf("InsertMinimum changed %d buckets, want <= 1", changed)
+			t.Fatalf("InsertMinimumHashed changed %d buckets, want <= 1", changed)
 		}
 	}
 }
@@ -247,9 +250,10 @@ func TestMinimumPrefersEmptyBucket(t *testing.T) {
 	// Situation 2: when a mapped bucket is empty the flow must take it
 	// rather than decaying anyone.
 	s := MustNew(Config{W: 256, D: 2, Seed: 8})
-	v := s.InsertMinimum(key(1), true, 0)
+	k := key(1)
+	v := s.InsertMinimumHashed(k, s.KeyHash(k), true, 0)
 	if v != 1 {
-		t.Fatalf("InsertMinimum returned %d want 1", v)
+		t.Fatalf("InsertMinimumHashed returned %d want 1", v)
 	}
 	st := s.Stats()
 	if st.EmptyTakes != 1 || st.Decays != 0 {
@@ -268,13 +272,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.DecayProbes == 0 || st.Decays == 0 || st.Replacements == 0 {
 		t.Errorf("expected decay activity on a contended sketch, got %+v", st)
-	}
-	s.Reset()
-	if s.Stats() != (Stats{}) {
-		t.Error("Reset did not clear stats")
-	}
-	if got := s.Query(key(1)); got != 0 {
-		t.Errorf("Reset did not clear buckets, Query = %d", got)
 	}
 }
 
@@ -434,17 +431,62 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 func TestFingerprintStability(t *testing.T) {
 	s := MustNew(Config{W: 8, Seed: 1})
 	k := key(42)
-	fp := s.Fingerprint(k)
+	fp := s.fingerprint(k)
 	if fp == 0 {
 		t.Fatal("zero fingerprint emitted")
 	}
 	for i := 0; i < 100; i++ {
-		if s.Fingerprint(k) != fp {
+		if s.fingerprint(k) != fp {
 			t.Fatal("fingerprint not stable")
 		}
 	}
 	if fp > 0xffff {
 		t.Errorf("16-bit fingerprint out of range: %#x", fp)
+	}
+}
+
+// fingerprint is the sketch's fingerprint for key, as every insert and
+// query path derives it.
+func (s *Sketch) fingerprint(key []byte) uint32 { return s.fingerprintOf(s.KeyHash(key)) }
+
+func TestFingerprintNeverZero(t *testing.T) {
+	s := MustNew(Config{W: 8, Seed: 3})
+	for i := 0; i < 100000; i++ {
+		k := []byte(fmt.Sprintf("k%d", i))
+		if s.fingerprint(k) == 0 {
+			t.Fatalf("fingerprint of %q is zero; zero is reserved for empty buckets", k)
+		}
+	}
+}
+
+func TestFingerprintWidth(t *testing.T) {
+	for _, width := range []uint{1, 8, 12, 16, 24, 32} {
+		s := MustNew(Config{W: 8, Seed: 3, FingerprintBits: width})
+		limit := uint32(1<<width - 1)
+		for i := 0; i < 1000; i++ {
+			k := []byte(fmt.Sprintf("k%d", i))
+			if fp := s.fingerprint(k); fp > limit {
+				t.Fatalf("fingerprint %#x exceeds %d-bit width", fp, width)
+			}
+		}
+	}
+}
+
+func TestFingerprintCollisionRate(t *testing.T) {
+	// With 16-bit fingerprints, two random distinct keys collide with
+	// probability ~2^-16. Over 200k pairs we expect ~3; allow up to 20.
+	s := MustNew(Config{W: 8, Seed: 77})
+	collisions := 0
+	const pairs = 200000
+	for i := 0; i < pairs; i++ {
+		a := s.fingerprint([]byte(fmt.Sprintf("a%d", i)))
+		b := s.fingerprint([]byte(fmt.Sprintf("b%d", i)))
+		if a == b {
+			collisions++
+		}
+	}
+	if collisions > 20 {
+		t.Errorf("%d fingerprint collisions in %d pairs; expected ~%d", collisions, pairs, pairs/65536)
 	}
 }
 
@@ -464,7 +506,8 @@ func BenchmarkInsertParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.InsertParallel(keys[i&(len(keys)-1)], false, 10)
+		k := keys[i&(len(keys)-1)]
+		s.InsertParallelHashed(k, s.KeyHash(k), false, 10)
 	}
 }
 
@@ -478,7 +521,7 @@ func BenchmarkInsertParallelHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.InsertParallel(k, true, 10)
+		s.InsertParallelHashed(k, s.KeyHash(k), true, 10)
 	}
 }
 
@@ -488,7 +531,8 @@ func BenchmarkInsertMinimum(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.InsertMinimum(keys[i&(len(keys)-1)], false, 10)
+		k := keys[i&(len(keys)-1)]
+		s.InsertMinimumHashed(k, s.KeyHash(k), false, 10)
 	}
 }
 

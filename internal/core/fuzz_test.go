@@ -56,8 +56,8 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("restored sketch inconsistent: insert est 0 but query grew %d -> %d",
 				before, s.Query(k))
 		}
-		s.InsertParallel(k, true, 0)
-		s.InsertMinimum(k, true, 0)
+		s.InsertParallelHashed(k, s.KeyHash(k), true, 0)
+		s.InsertMinimumHashed(k, s.KeyHash(k), true, 0)
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatalf("re-encode of restored sketch failed: %v", err)

@@ -86,7 +86,7 @@ func TestInsertParallelAtMatchesReference(t *testing.T) {
 				k := []byte(fmt.Sprintf("flow-%d", r%97))
 				inHeap := r&(1<<40) != 0
 				nmin := uint32(r>>41) % 19
-				g := got.InsertParallel(k, inHeap, nmin)
+				g := got.InsertParallelHashed(k, got.KeyHash(k), inHeap, nmin)
 				pos, fp := want.locateHash(want.KeyHash(k))
 				w := insertParallelAtReference(want, pos, fp, inHeap, nmin)
 				if g != w {

@@ -53,14 +53,9 @@ func (s *Sketch) contested(p int, fp uint32, weight uint64) (remaining uint64, t
 	return 0, false
 }
 
-// InsertBasicN records a weight-n arrival of flow key with the basic
-// discipline and returns the post-insertion estimate. InsertBasicN(key, 1)
-// is equivalent to InsertBasic(key).
-func (s *Sketch) InsertBasicN(key []byte, n uint64) uint32 {
-	return s.InsertBasicNHashed(key, s.KeyHash(key), n)
-}
-
-// InsertBasicNHashed is InsertBasicN for a caller that precomputed KeyHash.
+// InsertBasicNHashed records a weight-n arrival of flow key, whose KeyHash
+// is h, with the basic discipline and returns the post-insertion estimate.
+// InsertBasicNHashed(key, h, 1) is equivalent to InsertBasicHashed(key, h).
 func (s *Sketch) InsertBasicNHashed(key []byte, h uint64, n uint64) uint32 {
 	if n == 0 {
 		return s.QueryHashed(key, h)
@@ -102,16 +97,10 @@ func (s *Sketch) insertBasicNAt(pos []int, fp uint32, n uint64) uint32 {
 	return est
 }
 
-// InsertParallelN is the weighted Hardware Parallel insertion. The
-// selective-increment gate applies as in the unit path: an unmonitored
-// flow's matching counter grows only while at or below nmin, and then by at
-// most the weight.
-func (s *Sketch) InsertParallelN(key []byte, inHeap bool, nmin uint32, n uint64) uint32 {
-	return s.InsertParallelNHashed(key, s.KeyHash(key), inHeap, nmin, n)
-}
-
-// InsertParallelNHashed is InsertParallelN for a caller that precomputed
-// KeyHash.
+// InsertParallelNHashed is the weighted Hardware Parallel insertion of flow
+// key, whose KeyHash is h. The selective-increment gate applies as in the
+// unit path: an unmonitored flow's matching counter grows only while at or
+// below nmin, and then by at most the weight.
 func (s *Sketch) InsertParallelNHashed(key []byte, h uint64, inHeap bool, nmin uint32, n uint64) uint32 {
 	if n == 0 {
 		return s.QueryHashed(key, h)
@@ -163,14 +152,8 @@ func (s *Sketch) insertParallelNAt(pos []int, fp uint32, inHeap bool, nmin uint3
 	return est
 }
 
-// InsertMinimumN is the weighted Software Minimum insertion: at most one
-// bucket changes, as in the unit path.
-func (s *Sketch) InsertMinimumN(key []byte, inHeap bool, nmin uint32, n uint64) uint32 {
-	return s.InsertMinimumNHashed(key, s.KeyHash(key), inHeap, nmin, n)
-}
-
-// InsertMinimumNHashed is InsertMinimumN for a caller that precomputed
-// KeyHash.
+// InsertMinimumNHashed is the weighted Software Minimum insertion of flow
+// key, whose KeyHash is h: at most one bucket changes, as in the unit path.
 func (s *Sketch) InsertMinimumNHashed(key []byte, h uint64, inHeap bool, nmin uint32, n uint64) uint32 {
 	if n == 0 {
 		return s.QueryHashed(key, h)

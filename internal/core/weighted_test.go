@@ -14,7 +14,7 @@ func TestWeightedEquivalentToUnitWhenOwned(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.InsertBasic(k)
 	}
-	b.InsertBasicN(k, 100)
+	b.InsertBasicNHashed(k, b.KeyHash(k), 100)
 	if qa, qb := a.Query(k), b.Query(k); qa != qb {
 		t.Errorf("unit loop %d != weighted %d for sole flow", qa, qb)
 	}
@@ -22,8 +22,9 @@ func TestWeightedEquivalentToUnitWhenOwned(t *testing.T) {
 
 func TestWeightedZeroIsQuery(t *testing.T) {
 	s := MustNew(Config{W: 64, Seed: 2})
-	s.InsertBasicN(key(1), 7)
-	if got := s.InsertBasicN(key(1), 0); got != 7 {
+	k := key(1)
+	s.InsertBasicNHashed(k, s.KeyHash(k), 7)
+	if got := s.InsertBasicNHashed(k, s.KeyHash(k), 0); got != 7 {
 		t.Errorf("weight-0 insert returned %d want 7", got)
 	}
 	if s.Stats().Packets != 1 {
@@ -40,13 +41,14 @@ func TestWeightedNoOverestimation(t *testing.T) {
 			f := int(rng.Uint64n(rng.Uint64n(200) + 1))
 			w := rng.Uint64n(20) + 1
 			truth[f] += w
+			k := key(f)
 			switch version {
 			case "basic":
-				s.InsertBasicN(key(f), w)
+				s.InsertBasicNHashed(k, s.KeyHash(k), w)
 			case "parallel":
-				s.InsertParallelN(key(f), false, math.MaxUint32, w)
+				s.InsertParallelNHashed(k, s.KeyHash(k), false, math.MaxUint32, w)
 			case "minimum":
-				s.InsertMinimumN(key(f), false, math.MaxUint32, w)
+				s.InsertMinimumNHashed(k, s.KeyHash(k), false, math.MaxUint32, w)
 			}
 		}
 		for f, n := range truth {
@@ -61,13 +63,15 @@ func TestWeightedElephantSurvives(t *testing.T) {
 	s := MustNew(Config{W: 16, Seed: 9})
 	rng := xrand.NewXorshift64Star(4)
 	var truth uint64
+	elephant := key(0)
 	for i := 0; i < 5000; i++ {
 		if i%2 == 0 {
 			w := rng.Uint64n(10) + 1
 			truth += w
-			s.InsertBasicN(key(0), w)
+			s.InsertBasicNHashed(elephant, s.KeyHash(elephant), w)
 		} else {
-			s.InsertBasicN(key(1+int(rng.Uint64n(2000))), rng.Uint64n(3)+1)
+			k := key(1 + int(rng.Uint64n(2000)))
+			s.InsertBasicNHashed(k, s.KeyHash(k), rng.Uint64n(3)+1)
 		}
 	}
 	got := uint64(s.Query(key(0)))
@@ -80,8 +84,9 @@ func TestWeightedTakeoverKeepsRemainder(t *testing.T) {
 	// One bucket with a weak resident (C=1): a huge weighted arrival must
 	// take it over and bank nearly all of its weight.
 	s := MustNew(Config{W: 1, D: 1, Seed: 11})
-	s.InsertBasicN(key(1), 1)
-	s.InsertBasicN(key(2), 1000)
+	k1, k2 := key(1), key(2)
+	s.InsertBasicNHashed(k1, s.KeyHash(k1), 1)
+	s.InsertBasicNHashed(k2, s.KeyHash(k2), 1000)
 	got := uint64(s.Query(key(2)))
 	// The takeover consumes a handful of trials (P(decay at C=1) ≈ 0.926),
 	// so at least 900 of the 1000 units must survive.
@@ -95,9 +100,10 @@ func TestWeightedContestEarlyExit(t *testing.T) {
 	// trial loop must exit immediately rather than run `weight` iterations.
 	s := MustNew(Config{W: 1, D: 1, Seed: 12, B: 4.0}) // tiny table (~32 entries)
 	k1 := key(1)
-	s.InsertBasicN(k1, 100) // resident C=100, beyond b=4 cutoff
+	s.InsertBasicNHashed(k1, s.KeyHash(k1), 100) // resident C=100, beyond b=4 cutoff
 	before := s.Stats().DecayProbes
-	s.InsertBasicN(key(2), 1<<40) // absurd weight must return promptly
+	k2 := key(2)
+	s.InsertBasicNHashed(k2, s.KeyHash(k2), 1<<40) // absurd weight must return promptly
 	if probes := s.Stats().DecayProbes - before; probes != 0 {
 		t.Errorf("early exit failed: %d probes for an undecayable bucket", probes)
 	}
@@ -108,7 +114,8 @@ func TestWeightedContestEarlyExit(t *testing.T) {
 
 func TestWeightedSaturation(t *testing.T) {
 	s := MustNew(Config{W: 8, CounterBits: 8, Seed: 1})
-	s.InsertBasicN(key(1), 1_000_000)
+	k := key(1)
+	s.InsertBasicNHashed(k, s.KeyHash(k), 1_000_000)
 	if got := s.Query(key(1)); got != 255 {
 		t.Errorf("saturated counter = %d want 255", got)
 	}
@@ -117,14 +124,14 @@ func TestWeightedSaturation(t *testing.T) {
 func TestWeightedParallelGate(t *testing.T) {
 	s := MustNew(Config{W: 8, Seed: 3})
 	k := key(1)
-	s.InsertParallelN(k, true, 0, 5) // owned, C=5
+	s.InsertParallelNHashed(k, s.KeyHash(k), true, 0, 5) // owned, C=5
 	// Unmonitored with nmin=3: C=5 > 3 ⇒ frozen even for weighted adds.
-	s.InsertParallelN(k, false, 3, 100)
+	s.InsertParallelNHashed(k, s.KeyHash(k), false, 3, 100)
 	if got := s.Query(k); got != 5 {
 		t.Errorf("gate bypassed: C = %d want 5", got)
 	}
 	// Monitored: the whole weight lands.
-	s.InsertParallelN(k, true, 3, 100)
+	s.InsertParallelNHashed(k, s.KeyHash(k), true, 3, 100)
 	if got := s.Query(k); got != 105 {
 		t.Errorf("monitored weighted add: C = %d want 105", got)
 	}
@@ -134,11 +141,13 @@ func TestWeightedMinimumSingleBucket(t *testing.T) {
 	s := MustNew(Config{W: 64, D: 4, Seed: 21})
 	rng := xrand.NewXorshift64Star(5)
 	for i := 0; i < 2000; i++ {
-		s.InsertMinimumN(key(int(rng.Uint64n(300))), true, 0, rng.Uint64n(5)+1)
+		k := key(int(rng.Uint64n(300)))
+		s.InsertMinimumNHashed(k, s.KeyHash(k), true, 0, rng.Uint64n(5)+1)
 	}
 	for trial := 0; trial < 500; trial++ {
+		k := key(int(rng.Uint64n(600)))
 		before := s.snapshotBuckets()
-		s.InsertMinimumN(key(int(rng.Uint64n(600))), true, 0, rng.Uint64n(10)+1)
+		s.InsertMinimumNHashed(k, s.KeyHash(k), true, 0, rng.Uint64n(10)+1)
 		after := s.snapshotBuckets()
 		changed := 0
 		for i := range before {
@@ -147,7 +156,7 @@ func TestWeightedMinimumSingleBucket(t *testing.T) {
 			}
 		}
 		if changed > 1 {
-			t.Fatalf("weighted InsertMinimum changed %d buckets", changed)
+			t.Fatalf("InsertMinimumNHashed changed %d buckets", changed)
 		}
 	}
 }
@@ -157,6 +166,7 @@ func BenchmarkInsertBasicWeighted(b *testing.B) {
 	keys := makeKeys(1 << 12)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.InsertBasicN(keys[i&(len(keys)-1)], 64)
+		k := keys[i&(len(keys)-1)]
+		s.InsertBasicNHashed(k, s.KeyHash(k), 64)
 	}
 }

@@ -8,10 +8,10 @@
 //     flow IDs, following the paper's skew definition
 //     f_i = N / (i^γ · δ(γ)), δ(γ) = Σ_j 1/j^γ.
 //
-// The real captures are proprietary; these generators are the substitution
-// documented in DESIGN.md §3: they reproduce the population statistics
-// (packet count, flow count, ID format, heavy-tailed size distribution) that
-// the measured algorithms are sensitive to. Every generator is deterministic
+// The real captures are proprietary; these generators stand in for them:
+// they reproduce the population statistics (packet count, flow count, ID
+// format, heavy-tailed size distribution) that the measured algorithms are
+// sensitive to. Every generator is deterministic
 // under its seed. A Spec's Scale field shrinks packet and flow counts
 // proportionally for laptop-speed runs while preserving the distribution
 // shape.

@@ -11,8 +11,8 @@ import (
 )
 
 // Ablation runs one of the repository's design-choice studies — experiments
-// beyond the paper's figures that quantify the decisions DESIGN.md calls
-// out (decay function, array count, fingerprint width, the two
+// beyond the paper's figures that quantify this implementation's design
+// choices (decay function, array count, fingerprint width, the two
 // optimizations, auto-expansion).
 func (r *Runner) Ablation(id string) (*Table, error) {
 	switch id {

@@ -3,15 +3,16 @@
 //
 // The HeavyKeeper paper (§III-B) requires d hash functions h1..hd that are
 // 2-way independent, plus a separate fingerprint hash hf. We provide one
-// xxHash64-style function parameterized by a 64-bit seed; distinct seeds
-// derived through SplitMix64 give the d array hashes and the fingerprint
-// hash. xxHash64 passes SMHasher's avalanche and independence tests, which
-// is the practical standard the paper's C++ implementation (BOB hash) also
+// xxHash64-style function parameterized by a 64-bit seed; the HeavyKeeper
+// sketch hashes each key once with Sum64 and derives the d array indexes
+// and the fingerprint from that value with Mix under distinct seeds.
+// xxHash64 passes SMHasher's avalanche and independence tests, which is
+// the practical standard the paper's C++ implementation (BOB hash) also
 // relies on.
 //
 // The package deliberately exposes a tiny surface: Sum64 for one-shot
-// hashing and Family for the "one seed in, many independent functions out"
-// pattern the sketches use.
+// hashing, Mix and Reduce for the derive steps, and Family for the "one
+// seed in, d independent functions out" pattern.
 package hash
 
 import (
@@ -161,16 +162,15 @@ func le32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
-// Family is a set of independently seeded hash functions: d array hashes and
-// one fingerprint hash, all derived from a single master seed. Every sketch
-// in the repository builds its hashing from a Family so that experiment
-// seeds propagate deterministically.
+// Family is a set of d independently seeded array hash functions, all
+// derived from a single master seed, so that experiment seeds propagate
+// deterministically (the Cold Filter baseline indexes its counter layers
+// through two Families).
 type Family struct {
 	arraySeeds []uint64
-	fpSeed     uint64
 }
 
-// NewFamily derives d array-hash seeds and one fingerprint seed from seed.
+// NewFamily derives d array-hash seeds from seed.
 func NewFamily(seed uint64, d int) *Family {
 	if d < 1 {
 		panic("hash: family size must be >= 1")
@@ -180,32 +180,10 @@ func NewFamily(seed uint64, d int) *Family {
 	for i := range f.arraySeeds {
 		f.arraySeeds[i] = sm.Next()
 	}
-	f.fpSeed = sm.Next()
 	return f
 }
-
-// D returns the number of array hash functions in the family.
-func (f *Family) D() int { return len(f.arraySeeds) }
 
 // Index returns h_j(key) mod w: the bucket index of key in array j.
 func (f *Family) Index(j int, key []byte, w int) int {
 	return int(Sum64(f.arraySeeds[j], key) % uint64(w))
 }
-
-// Fingerprint returns the fingerprint of key truncated to bitWidth bits.
-// A fingerprint of zero is remapped to one so that zero can mean "empty
-// bucket" in sketch storage.
-func (f *Family) Fingerprint(key []byte, bitWidth uint) uint32 {
-	fp := uint32(Sum64(f.fpSeed, key) & ((1 << bitWidth) - 1))
-	if fp == 0 {
-		fp = 1
-	}
-	return fp
-}
-
-// Seeds exposes the derived array seeds (for sketches that stream-hash the
-// key once per array themselves).
-func (f *Family) Seeds() []uint64 { return f.arraySeeds }
-
-// FingerprintSeed exposes the fingerprint seed.
-func (f *Family) FingerprintSeed() uint64 { return f.fpSeed }

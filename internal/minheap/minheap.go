@@ -72,12 +72,6 @@ func New(capacity int) *Heap {
 // not escape into the hash, so the conversion stays on the stack.
 func (h *Heap) hashString(key string) uint64 { return hash.Sum64(0, []byte(key)) }
 
-// Len returns the number of entries.
-func (h *Heap) Len() int { return len(h.items) }
-
-// Capacity returns the maximum number of entries.
-func (h *Heap) Capacity() int { return h.capacity }
-
 // Full reports whether the heap is at capacity.
 func (h *Heap) Full() bool { return len(h.items) >= h.capacity }
 
@@ -151,15 +145,6 @@ func (h *Heap) Contains(key string) bool {
 	return h.find(h.hashString(key), key) >= 0
 }
 
-// Count returns key's recorded size.
-func (h *Heap) Count(key string) (uint64, bool) {
-	i := h.find(h.hashString(key), key)
-	if i < 0 {
-		return 0, false
-	}
-	return h.items[i].count, true
-}
-
 // MinCount returns the smallest recorded size (the paper's n_min), or 0 when
 // the heap is empty.
 func (h *Heap) MinCount() uint64 {
@@ -169,17 +154,9 @@ func (h *Heap) MinCount() uint64 {
 	return h.items[0].count
 }
 
-// Min returns the key and size at the root. ok is false when empty.
-func (h *Heap) Min() (key string, count uint64, ok bool) {
-	if len(h.items) == 0 {
-		return "", 0, false
-	}
-	return h.items[0].key, h.items[0].count, true
-}
-
 // Insert adds key with size count. If the heap is full it evicts the root
 // first and returns it with evicted=true. Inserting an existing key panics;
-// use Update.
+// use UpdateMax.
 func (h *Heap) Insert(key string, count uint64) (evictedKey string, evictedCount uint64, evicted bool) {
 	hk := h.hashString(key)
 	if h.find(hk, key) >= 0 {
@@ -205,22 +182,6 @@ func (h *Heap) insertNew(e entry) (evictedKey string, evictedCount uint64, evict
 	return "", 0, false
 }
 
-// Update sets key's size to count (any direction) and restores heap order.
-// It panics if key is absent.
-func (h *Heap) Update(key string, count uint64) {
-	i := h.find(h.hashString(key), key)
-	if i < 0 {
-		panic("minheap: Update of absent key " + key)
-	}
-	old := h.items[i].count
-	h.items[i].count = count
-	if count > old {
-		h.siftDown(i)
-	} else if count < old {
-		h.siftUp(i)
-	}
-}
-
 // UpdateMax sets key's size to max(current, count); this is the §III-C
 // min-heap update rule. It panics if key is absent.
 func (h *Heap) UpdateMax(key string, count uint64) {
@@ -232,23 +193,6 @@ func (h *Heap) UpdateMax(key string, count uint64) {
 		h.items[i].count = count
 		h.siftDown(i)
 	}
-}
-
-// Remove deletes key and reports whether it was present.
-func (h *Heap) Remove(key string) bool {
-	i := h.find(h.hashString(key), key)
-	if i < 0 {
-		return false
-	}
-	last := len(h.items) - 1
-	h.swap(i, last)
-	h.indexDelete(h.items[last].hash, last)
-	h.items = h.items[:last]
-	if i < last {
-		h.siftDown(i)
-		h.siftUp(i)
-	}
-	return true
 }
 
 // Entry is a (key, count) pair returned by Items.

@@ -71,31 +71,15 @@ func TestInsertDuplicatePanics(t *testing.T) {
 	h.Insert("a", 2)
 }
 
-func TestUpdateBothDirections(t *testing.T) {
-	h := New(4)
-	h.Insert("a", 10)
-	h.Insert("b", 20)
-	h.Insert("c", 30)
-	h.Update("c", 5)
-	if h.MinCount() != 5 {
-		t.Errorf("MinCount after decrease = %d want 5", h.MinCount())
-	}
-	h.Update("c", 40)
-	if h.MinCount() != 10 {
-		t.Errorf("MinCount after increase = %d want 10", h.MinCount())
-	}
-	h.mustCheck(t)
-}
-
 func TestUpdateMaxOnlyIncreases(t *testing.T) {
 	h := New(2)
 	h.Insert("a", 10)
 	h.UpdateMax("a", 5)
-	if c, _ := h.Count("a"); c != 10 {
+	if c := h.MinCount(); c != 10 {
 		t.Errorf("UpdateMax decreased count to %d", c)
 	}
 	h.UpdateMax("a", 50)
-	if c, _ := h.Count("a"); c != 50 {
+	if c := h.MinCount(); c != 50 {
 		t.Errorf("UpdateMax did not increase count, got %d", c)
 	}
 	h.mustCheck(t)
@@ -104,39 +88,14 @@ func TestUpdateMaxOnlyIncreases(t *testing.T) {
 func TestUpdateAbsentPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Update of absent key did not panic")
+			t.Fatal("UpdateMax of absent key did not panic")
 		}
 	}()
-	New(2).Update("ghost", 1)
-}
-
-func TestRemove(t *testing.T) {
-	h := New(8)
-	for i := 0; i < 8; i++ {
-		h.Insert(fmt.Sprintf("k%d", i), uint64(i*3+1))
-	}
-	if !h.Remove("k3") {
-		t.Fatal("Remove(k3) = false")
-	}
-	if h.Remove("k3") {
-		t.Fatal("second Remove(k3) = true")
-	}
-	if h.Len() != 7 {
-		t.Errorf("Len = %d want 7", h.Len())
-	}
-	h.mustCheck(t)
-	// Remove the root.
-	if !h.Remove("k0") {
-		t.Fatal("Remove(k0) = false")
-	}
-	h.mustCheck(t)
+	New(2).UpdateMax("ghost", 1)
 }
 
 func TestMinOnEmpty(t *testing.T) {
 	h := New(2)
-	if _, _, ok := h.Min(); ok {
-		t.Error("Min on empty heap reported ok")
-	}
 	if h.MinCount() != 0 {
 		t.Errorf("MinCount on empty = %d want 0", h.MinCount())
 	}
@@ -211,30 +170,17 @@ func TestRandomizedInvariants(t *testing.T) {
 	live := map[string]bool{}
 	for step := 0; step < 20000; step++ {
 		key := fmt.Sprintf("k%d", rng.Uint64n(64))
-		switch rng.Uint64n(4) {
-		case 0:
-			if !live[key] {
-				ek, _, ev := h.Insert(key, rng.Uint64n(1000))
-				live[key] = true
-				if ev {
-					delete(live, ek)
-				}
-			}
-		case 1:
-			if live[key] {
-				h.Update(key, rng.Uint64n(1000))
-			}
-		case 2:
-			if live[key] {
-				h.UpdateMax(key, rng.Uint64n(1000))
-			}
-		case 3:
-			if h.Remove(key) {
-				delete(live, key)
+		if live[key] {
+			h.UpdateMax(key, rng.Uint64n(1000))
+		} else {
+			ek, _, ev := h.Insert(key, rng.Uint64n(1000))
+			live[key] = true
+			if ev {
+				delete(live, ek)
 			}
 		}
-		if h.Len() != len(live) {
-			t.Fatalf("step %d: Len=%d live=%d", step, h.Len(), len(live))
+		if len(h.items) != len(live) {
+			t.Fatalf("step %d: %d entries, live=%d", step, len(h.items), len(live))
 		}
 		if step%500 == 0 {
 			h.mustCheck(t)

@@ -5,12 +5,3 @@ func (s *Summary) CheckInvariants() { s.checkInvariants() }
 
 // CheckInvariants exposes the reference implementation's validator to tests.
 func (s *RefSummary) CheckInvariants() { s.checkInvariants() }
-
-// CursorFor reports whether the probe cursor currently points at the
-// monitored node for key; cursor_test.go uses it to pin invalidation.
-func (s *Summary) CursorFor(key string) bool {
-	return s.cursor != nil && s.cursor.key == key
-}
-
-// HasCursor reports whether any probe cursor is set.
-func (s *Summary) HasCursor() bool { return s.cursor != nil }

@@ -1,8 +1,8 @@
 // RefSummary is the retained map-indexed Stream-Summary implementation, kept
 // as test code: the differential reference for the open-addressed Summary.
 // It is bit-for-bit the pre-rewrite structure: same bucket-list logic, same
-// tie-breaking, same cursor discipline — only the key index differs (a Go
-// map here, the flat hash table in Summary). FuzzStoreEquivalence drives both
+// tie-breaking — only the key index differs (a Go map here, the flat hash
+// table in Summary). FuzzStoreEquivalence drives both
 // with one op stream and asserts identical observable state.
 
 package streamsummary
@@ -28,7 +28,6 @@ type RefSummary struct {
 	nodes    map[string]*refNode
 	head     *refBucket
 	free     *refBucket
-	cursor   *refNode
 }
 
 // NewRef returns an empty reference Stream-Summary that monitors at most
@@ -46,9 +45,6 @@ func NewRef(capacity int) *RefSummary {
 // Len returns the number of monitored keys.
 func (s *RefSummary) Len() int { return len(s.nodes) }
 
-// Capacity returns the maximum number of monitored keys.
-func (s *RefSummary) Capacity() int { return s.capacity }
-
 // Full reports whether the summary is at capacity.
 func (s *RefSummary) Full() bool { return len(s.nodes) >= s.capacity }
 
@@ -58,34 +54,14 @@ func (s *RefSummary) Contains(key string) bool {
 	return ok
 }
 
-// ContainsKey is Contains for a byte-slice key. A hit is remembered for
-// UpdateMaxKey, mirroring Summary's cursor discipline.
-func (s *RefSummary) ContainsKey(key []byte) bool {
-	n := s.nodes[string(key)]
-	s.cursor = n
-	return n != nil
-}
-
-// UpdateMaxKey raises key's count to max(current, count); keys that are not
+// UpdateMax raises key's count to max(current, count); keys that are not
 // monitored are ignored.
-func (s *RefSummary) UpdateMaxKey(key []byte, count uint64) {
-	n := s.cursor
-	if n == nil || n.key != string(key) {
-		var ok bool
-		n, ok = s.nodes[string(key)]
-		if !ok {
-			return
-		}
-	}
-	if n.b.count >= count {
+func (s *RefSummary) UpdateMax(key string, count uint64) {
+	n, ok := s.nodes[key]
+	if !ok || n.b.count >= count {
 		return
 	}
 	s.moveTo(n, count)
-}
-
-// InsertKey is Insert for a byte-slice key.
-func (s *RefSummary) InsertKey(key []byte, count, errVal uint64) {
-	s.Insert(string(key), count, errVal)
 }
 
 // Count returns the recorded count of key.
@@ -105,14 +81,6 @@ func (s *RefSummary) Error(key string) uint64 {
 	return 0
 }
 
-// Min returns the key and count of one minimum-count entry.
-func (s *RefSummary) Min() (key string, count uint64, ok bool) {
-	if s.head == nil {
-		return "", 0, false
-	}
-	return s.head.first.key, s.head.count, true
-}
-
 // MinCount returns the smallest monitored count, or 0 when empty.
 func (s *RefSummary) MinCount() uint64 {
 	if s.head == nil {
@@ -121,14 +89,15 @@ func (s *RefSummary) MinCount() uint64 {
 	return s.head.count
 }
 
-// Incr increments key's count by one; the key must already be monitored.
-func (s *RefSummary) Incr(key string) uint64 {
+// Incr adds delta to key's count; ok is false, and nothing changes, when
+// key is not monitored.
+func (s *RefSummary) Incr(key string, delta uint64) (count uint64, ok bool) {
 	n, ok := s.nodes[key]
 	if !ok {
-		panic("streamsummary: Incr on unmonitored key " + key)
+		return 0, false
 	}
-	s.moveTo(n, n.b.count+1)
-	return n.b.count
+	s.moveTo(n, n.b.count+delta)
+	return n.b.count, true
 }
 
 // Insert adds a new key with the given count and error. It panics if the key
@@ -154,36 +123,7 @@ func (s *RefSummary) EvictMin() (key string, count uint64, ok bool) {
 	key, count = n.key, n.b.count
 	s.detach(n)
 	delete(s.nodes, key)
-	if s.cursor == n {
-		s.cursor = nil
-	}
 	return key, count, true
-}
-
-// Remove deletes key if monitored and reports whether it was present.
-func (s *RefSummary) Remove(key string) bool {
-	n, ok := s.nodes[key]
-	if !ok {
-		return false
-	}
-	s.detach(n)
-	delete(s.nodes, key)
-	if s.cursor == n {
-		s.cursor = nil
-	}
-	return true
-}
-
-// Set changes key's count to count, relocating its bucket.
-func (s *RefSummary) Set(key string, count uint64) {
-	n, ok := s.nodes[key]
-	if !ok {
-		panic("streamsummary: Set on unmonitored key " + key)
-	}
-	if n.b.count == count {
-		return
-	}
-	s.moveTo(n, count)
 }
 
 // Items returns all monitored entries in descending count order.
@@ -199,15 +139,6 @@ func (s *RefSummary) Items() []Entry {
 		}
 	}
 	return out
-}
-
-// Top returns the k largest entries in descending count order.
-func (s *RefSummary) Top(k int) []Entry {
-	items := s.Items()
-	if len(items) > k {
-		items = items[:k]
-	}
-	return items
 }
 
 func (s *RefSummary) moveTo(n *refNode, newCount uint64) {

@@ -27,8 +27,8 @@
 // so probe chains never accumulate garbage no matter how many
 // evict/insert cycles the summary goes through.
 //
-// Callers that cannot supply a hash (string-keyed queries, Space-Saving's
-// Incr loop) fall back to hashing internally under the summary's seed;
+// Callers that cannot supply a hash (string-keyed queries and snapshot
+// restore) fall back to hashing internally under the summary's seed;
 // NewSeeded lets an embedding sketch share its own key-hash seed so both
 // sides agree on every key's hash. The map-indexed original is retained in
 // test code as RefSummary (ref_test.go), the differential reference.
@@ -83,27 +83,17 @@ type Summary struct {
 	mask     uint64 // len(table) - 1
 	head     *bucket
 	free     *bucket // free-list of retired buckets, chained via next
-	// cursor remembers the node found by the last ContainsHashed (or
-	// ContainsKey) so an immediately following UpdateMaxHashed on the same
-	// key skips the index probe — the probe-then-update shape of every
-	// HeavyKeeper packet. The cursor is trusted only after its stored hash
-	// and key match the update's, and every operation that unmonitors a key
-	// (EvictMin, Remove) clears it when it points at the victim, so a stale
-	// cursor can never receive an update; cursor_test.go pins this.
-	cursor *node
 	// touch sinks the index loads issued by Prefetch so they cannot be
 	// optimized away.
 	touch uint64
 }
 
-// New returns an empty Stream-Summary that monitors at most capacity keys,
-// hashing keys under a fixed default seed. It panics if capacity < 1.
-func New(capacity int) *Summary { return NewSeeded(capacity, 0) }
-
-// NewSeeded is New with an explicit key-hash seed. An embedding sketch that
-// feeds the *Hashed entry points must construct the summary with the same
-// seed its own key hash uses (internal/topk passes core.Sketch.KeySeed), so
-// precomputed hashes and internally computed ones agree on every key.
+// NewSeeded returns an empty Stream-Summary that monitors at most capacity
+// keys, hashing keys under seed. It panics if capacity < 1. An embedding
+// sketch that feeds the *Hashed entry points must construct the summary
+// with the same seed its own key hash uses (internal/topk passes
+// core.Sketch.KeySeed), so precomputed hashes and internally computed ones
+// agree on every key.
 func NewSeeded(capacity int, seed uint64) *Summary {
 	if capacity < 1 {
 		panic("streamsummary: capacity must be >= 1")
@@ -237,35 +227,18 @@ func (s *Summary) Contains(key string) bool {
 	return s.findString(s.hashString(key), key) != nil
 }
 
-// ContainsKey is Contains for a byte-slice key, hashing it here. A hit is
-// remembered for UpdateMaxKey. Hot paths that already hold the key's hash
-// use ContainsHashed instead.
-func (s *Summary) ContainsKey(key []byte) bool {
-	return s.ContainsHashed(key, s.Hash(key))
-}
-
-// ContainsHashed reports whether key (whose precomputed hash is h) is
-// monitored, without touching the key bytes except for the single
-// equality check on a full hash match. A hit is remembered for
-// UpdateMaxHashed — the probe-then-update shape of every HeavyKeeper packet.
-func (s *Summary) ContainsHashed(key []byte, h uint64) bool {
-	n := s.findHashed(h, key)
-	s.cursor = n
-	return n != nil
-}
-
 // Probe is an opaque handle to a monitored entry returned by ProbeHashed.
-// It stays valid only until the next operation that can unmonitor a key
-// (EvictMin, Remove); UpdateMaxProbe rejects a handle whose entry has been
-// detached, but a caller that evicts between probe and update must re-probe.
+// It stays valid only until the next EvictMin; UpdateMaxProbe ignores a
+// handle whose entry has been detached, but a caller that evicts between
+// probe and update must re-probe.
 type Probe struct{ n *node }
 
-// ProbeHashed is ContainsHashed returning the entry handle alongside the
-// verdict, so the caller's follow-up update needs no second index probe and
-// no re-verification — the fused batch loop's probe-then-update pair costs
-// exactly one key comparison total. It does not touch the cursor: the handle
-// replaces it, and a previously remembered cursor stays subject to the same
-// invalidation rules.
+// ProbeHashed reports whether key (whose precomputed hash is h) is
+// monitored and returns the entry handle alongside the verdict, without
+// touching the key bytes except for the single equality check on a full
+// hash match. The caller's follow-up update needs no second index probe and
+// no re-verification: the tracker's probe-then-update pair costs exactly
+// one key comparison in total.
 func (s *Summary) ProbeHashed(key []byte, h uint64) (Probe, bool) {
 	n := s.findHashed(h, key)
 	return Probe{n: n}, n != nil
@@ -282,37 +255,6 @@ func (s *Summary) UpdateMaxProbe(p Probe, count uint64) {
 		return
 	}
 	s.moveTo(n, count)
-}
-
-// UpdateMaxKey raises key's count to max(current, count); keys that are not
-// monitored are ignored.
-func (s *Summary) UpdateMaxKey(key []byte, count uint64) {
-	s.UpdateMaxHashed(key, s.Hash(key), count)
-}
-
-// UpdateMaxHashed raises key's count to max(current, count) without
-// allocating; unmonitored keys are ignored. When the preceding
-// ContainsHashed probed the same key (the per-packet pattern), the index
-// probe is skipped entirely; the cursor is trusted only after its stored
-// hash and key match, so interleaved probes and evictions of other keys
-// stay correct.
-func (s *Summary) UpdateMaxHashed(key []byte, h uint64, count uint64) {
-	n := s.cursor
-	if n == nil || n.hash != h || n.key != string(key) {
-		if n = s.findHashed(h, key); n == nil {
-			return
-		}
-	}
-	if n.b.count >= count {
-		return
-	}
-	s.moveTo(n, count)
-}
-
-// InsertKey is Insert for a byte-slice key; the string is materialized here,
-// on admission, rather than once per packet.
-func (s *Summary) InsertKey(key []byte, count, errVal uint64) {
-	s.InsertHashed(key, s.Hash(key), count, errVal)
 }
 
 // InsertHashed admits key (whose precomputed hash is h) with the given count
@@ -354,15 +296,6 @@ func (s *Summary) Error(key string) uint64 {
 	return 0
 }
 
-// Min returns the key and count of one minimum-count entry. ok is false when
-// the summary is empty.
-func (s *Summary) Min() (key string, count uint64, ok bool) {
-	if s.head == nil {
-		return "", 0, false
-	}
-	return s.head.first.key, s.head.count, true
-}
-
 // MinCount returns the smallest monitored count, or 0 when empty. This is
 // the paper's n_min.
 func (s *Summary) MinCount() uint64 {
@@ -372,21 +305,9 @@ func (s *Summary) MinCount() uint64 {
 	return s.head.count
 }
 
-// Incr increments key's count by one in O(1). The key must already be
-// monitored; Incr panics otherwise (callers decide admission policy).
-// It returns the new count.
-func (s *Summary) Incr(key string) uint64 {
-	n := s.findString(s.hashString(key), key)
-	if n == nil {
-		panic("streamsummary: Incr on unmonitored key " + key)
-	}
-	s.moveTo(n, n.b.count+1)
-	return n.b.count
-}
-
 // IncrHashed adds delta to key's count from the key's precomputed hash, with
-// no string conversion and no re-hash. Unlike Incr it tolerates unmonitored
-// keys: ok reports whether the key was found (and incremented), which is the
+// no string conversion and no re-hash. It tolerates unmonitored keys: ok
+// reports whether the key was found (and incremented), which is the
 // contains-then-increment shape of Space-Saving's hot path collapsed into a
 // single index probe.
 func (s *Summary) IncrHashed(key []byte, h uint64, delta uint64) (count uint64, ok bool) {
@@ -426,45 +347,10 @@ func (s *Summary) EvictMin() (key string, count uint64, ok bool) {
 	}
 	n := s.head.first
 	key, count = n.key, n.b.count
-	s.unmonitor(n)
-	return key, count, true
-}
-
-// Remove deletes key if monitored and reports whether it was present.
-func (s *Summary) Remove(key string) bool {
-	n := s.findString(s.hashString(key), key)
-	if n == nil {
-		return false
-	}
-	s.unmonitor(n)
-	return true
-}
-
-// unmonitor removes n from the index, the bucket lists and — when it is the
-// remembered probe — the cursor. Every path that unmonitors a key funnels
-// through here, so cursor invalidation cannot be forgotten case by case.
-func (s *Summary) unmonitor(n *node) {
 	s.indexDelete(n)
 	s.count--
 	s.detach(n)
-	if s.cursor == n {
-		s.cursor = nil
-	}
-}
-
-// Set changes key's count to count, relocating its bucket. Unlike Incr this
-// may walk several buckets (O(#distinct counts) worst case); HeavyKeeper's
-// top-k stage uses it for the occasional "update with max" (§III-C), which
-// moves entries by small deltas in practice.
-func (s *Summary) Set(key string, count uint64) {
-	n := s.findString(s.hashString(key), key)
-	if n == nil {
-		panic("streamsummary: Set on unmonitored key " + key)
-	}
-	if n.b.count == count {
-		return
-	}
-	s.moveTo(n, count)
+	return key, count, true
 }
 
 // Entry is a monitored (key, count, error) triple.
@@ -755,9 +641,6 @@ func (s *Summary) checkInvariants() {
 	}
 	if occupied != s.count {
 		panic("streamsummary: index occupancy mismatch")
-	}
-	if s.cursor != nil && s.cursor.b == nil {
-		panic("streamsummary: cursor points at detached node")
 	}
 }
 

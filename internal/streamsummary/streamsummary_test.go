@@ -13,16 +13,16 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d) did not panic", c)
+					t.Errorf("NewSeeded(%d, 0) did not panic", c)
 				}
 			}()
-			New(c)
+			NewSeeded(c, 0)
 		}()
 	}
 }
 
 func TestInsertAndCount(t *testing.T) {
-	s := New(4)
+	s := NewSeeded(4, 0)
 	s.Insert("a", 3, 0)
 	s.Insert("b", 1, 0)
 	s.Insert("c", 3, 2)
@@ -45,24 +45,21 @@ func TestInsertAndCount(t *testing.T) {
 }
 
 func TestMinTracksSmallest(t *testing.T) {
-	s := New(8)
+	s := NewSeeded(8, 0)
 	s.Insert("big", 100, 0)
 	s.Insert("small", 2, 0)
 	s.Insert("mid", 50, 0)
 	if got := s.MinCount(); got != 2 {
 		t.Fatalf("MinCount = %d want 2", got)
 	}
-	key, count, ok := s.Min()
-	if !ok || key != "small" || count != 2 {
-		t.Fatalf("Min = %q,%d,%v want small,2,true", key, count, ok)
+	s.Insert("tiny", 1, 0)
+	if got := s.MinCount(); got != 1 {
+		t.Fatalf("MinCount after smaller insert = %d want 1", got)
 	}
 }
 
 func TestMinOnEmpty(t *testing.T) {
-	s := New(2)
-	if _, _, ok := s.Min(); ok {
-		t.Error("Min on empty summary reported ok")
-	}
+	s := NewSeeded(2, 0)
 	if got := s.MinCount(); got != 0 {
 		t.Errorf("MinCount on empty = %d want 0", got)
 	}
@@ -71,12 +68,18 @@ func TestMinOnEmpty(t *testing.T) {
 	}
 }
 
+// incr is IncrHashed for a string key.
+func incr(s *Summary, key string, delta uint64) (uint64, bool) {
+	kb := []byte(key)
+	return s.IncrHashed(kb, s.Hash(kb), delta)
+}
+
 func TestIncrMovesBuckets(t *testing.T) {
-	s := New(4)
+	s := NewSeeded(4, 0)
 	s.Insert("a", 1, 0)
 	s.Insert("b", 1, 0)
-	if got := s.Incr("a"); got != 2 {
-		t.Fatalf("Incr(a) = %d want 2", got)
+	if got, ok := incr(s, "a", 1); !ok || got != 2 {
+		t.Fatalf("IncrHashed(a) = %d,%v want 2,true", got, ok)
 	}
 	s.CheckInvariants()
 	if got, _ := s.Count("a"); got != 2 {
@@ -90,17 +93,20 @@ func TestIncrMovesBuckets(t *testing.T) {
 	}
 }
 
-func TestIncrPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Incr on unknown key did not panic")
-		}
-	}()
-	New(2).Incr("ghost")
+func TestIncrHashedIgnoresUnknown(t *testing.T) {
+	s := NewSeeded(2, 0)
+	s.Insert("a", 3, 0)
+	if got, ok := incr(s, "ghost", 1); ok || got != 0 {
+		t.Fatalf("IncrHashed(ghost) = %d,%v want 0,false", got, ok)
+	}
+	if s.Len() != 1 || s.Contains("ghost") {
+		t.Fatal("IncrHashed admitted an unmonitored key")
+	}
+	s.CheckInvariants()
 }
 
 func TestInsertPanicsWhenFull(t *testing.T) {
-	s := New(1)
+	s := NewSeeded(1, 0)
 	s.Insert("a", 1, 0)
 	defer func() {
 		if recover() == nil {
@@ -111,7 +117,7 @@ func TestInsertPanicsWhenFull(t *testing.T) {
 }
 
 func TestInsertPanicsOnDuplicate(t *testing.T) {
-	s := New(2)
+	s := NewSeeded(2, 0)
 	s.Insert("a", 1, 0)
 	defer func() {
 		if recover() == nil {
@@ -122,7 +128,7 @@ func TestInsertPanicsOnDuplicate(t *testing.T) {
 }
 
 func TestEvictMinRemovesSmallest(t *testing.T) {
-	s := New(4)
+	s := NewSeeded(4, 0)
 	s.Insert("x", 10, 0)
 	s.Insert("y", 1, 0)
 	s.Insert("z", 5, 0)
@@ -139,49 +145,42 @@ func TestEvictMinRemovesSmallest(t *testing.T) {
 	s.CheckInvariants()
 }
 
-func TestRemove(t *testing.T) {
-	s := New(4)
-	s.Insert("a", 2, 0)
-	s.Insert("b", 2, 0)
-	if !s.Remove("a") {
-		t.Fatal("Remove(a) = false")
+// update is ProbeHashed followed by UpdateMaxProbe, the tracker's pair.
+func update(s *Summary, key string, count uint64) {
+	if p, ok := probe(s, key); ok {
+		s.UpdateMaxProbe(p, count)
 	}
-	if s.Remove("a") {
-		t.Fatal("second Remove(a) = true")
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d want 1", s.Len())
-	}
-	s.CheckInvariants()
 }
 
-func TestSetMovesUpAndDown(t *testing.T) {
-	s := New(4)
+func TestUpdateMaxProbeMovesUp(t *testing.T) {
+	s := NewSeeded(4, 0)
 	s.Insert("a", 5, 0)
 	s.Insert("b", 10, 0)
 	s.Insert("c", 15, 0)
-	s.Set("a", 12) // move up past b
+	update(s, "a", 12) // move up past b
 	if got, _ := s.Count("a"); got != 12 {
 		t.Fatalf("Count(a) = %d want 12", got)
 	}
-	s.CheckInvariants()
-	s.Set("c", 1) // move down past everything
-	if got := s.MinCount(); got != 1 {
-		t.Fatalf("MinCount = %d want 1", got)
+	if got := s.MinCount(); got != 10 {
+		t.Fatalf("MinCount = %d want 10", got)
 	}
 	s.CheckInvariants()
-	s.Set("b", 10) // no-op
-	if got, _ := s.Count("b"); got != 10 {
-		t.Fatalf("Count(b) = %d want 10", got)
+	update(s, "c", 1) // max rule: never moves down
+	if got, _ := s.Count("c"); got != 15 {
+		t.Fatalf("Count(c) = %d want 15", got)
+	}
+	update(s, "b", 40) // move up past everything
+	if top := s.Top(1); top[0].Key != "b" || top[0].Count != 40 {
+		t.Fatalf("Top(1) = %v want b at 40", top)
 	}
 	s.CheckInvariants()
 }
 
-func TestSetJoinsExistingBucket(t *testing.T) {
-	s := New(4)
+func TestUpdateMaxProbeJoinsExistingBucket(t *testing.T) {
+	s := NewSeeded(4, 0)
 	s.Insert("a", 5, 0)
 	s.Insert("b", 9, 0)
-	s.Set("a", 9)
+	update(s, "a", 9)
 	if got, _ := s.Count("a"); got != 9 {
 		t.Fatalf("Count(a) = %d want 9", got)
 	}
@@ -193,7 +192,7 @@ func TestSetJoinsExistingBucket(t *testing.T) {
 }
 
 func TestItemsDescending(t *testing.T) {
-	s := New(8)
+	s := NewSeeded(8, 0)
 	counts := []uint64{7, 3, 9, 1, 5, 9}
 	for i, c := range counts {
 		s.Insert(fmt.Sprintf("k%d", i), c, 0)
@@ -210,7 +209,7 @@ func TestItemsDescending(t *testing.T) {
 }
 
 func TestTopTruncates(t *testing.T) {
-	s := New(8)
+	s := NewSeeded(8, 0)
 	for i := 0; i < 6; i++ {
 		s.Insert(fmt.Sprintf("k%d", i), uint64(i+1), 0)
 	}
@@ -230,7 +229,7 @@ func TestTopTruncates(t *testing.T) {
 // does and cross-checks counts against a reference map on a skewed stream.
 func TestSpaceSavingUsagePattern(t *testing.T) {
 	const m = 32
-	s := New(m)
+	s := NewSeeded(m, 0)
 	rng := xrand.NewXorshift64Star(2024)
 	exact := map[string]uint64{}
 	for i := 0; i < 20000; i++ {
@@ -238,13 +237,15 @@ func TestSpaceSavingUsagePattern(t *testing.T) {
 		id := rng.Uint64n(rng.Uint64n(200) + 1)
 		key := fmt.Sprintf("f%d", id)
 		exact[key]++
-		if s.Contains(key) {
-			s.Incr(key)
-		} else if !s.Full() {
-			s.Insert(key, 1, 0)
-		} else {
-			_, minC, _ := s.EvictMin()
-			s.Insert(key, minC+1, minC)
+		kb := []byte(key)
+		h := s.Hash(kb)
+		if _, ok := s.IncrHashed(kb, h, 1); !ok {
+			if !s.Full() {
+				s.InsertHashed(kb, h, 1, 0)
+			} else {
+				_, minC, _ := s.EvictMin()
+				s.InsertHashed(kb, h, minC+1, minC)
+			}
 		}
 		if i%997 == 0 {
 			s.CheckInvariants()
@@ -282,7 +283,7 @@ func TestSpaceSavingUsagePattern(t *testing.T) {
 // structural invariants throughout.
 func TestRandomizedInvariants(t *testing.T) {
 	rng := xrand.NewXorshift64Star(7)
-	s := New(16)
+	s := NewSeeded(16, 0)
 	live := map[string]bool{}
 	keyOf := func(i uint64) string { return fmt.Sprintf("k%d", i) }
 	for step := 0; step < 30000; step++ {
@@ -291,7 +292,7 @@ func TestRandomizedInvariants(t *testing.T) {
 		case op < 40: // insert or incr
 			key := keyOf(rng.Uint64n(40))
 			if live[key] {
-				s.Incr(key)
+				incr(s, key, 1)
 			} else if !s.Full() {
 				s.Insert(key, rng.Uint64n(20)+1, 0)
 				live[key] = true
@@ -300,16 +301,14 @@ func TestRandomizedInvariants(t *testing.T) {
 			if key, _, ok := s.EvictMin(); ok {
 				delete(live, key)
 			}
-		case op < 80: // set random monitored key
-			key := keyOf(rng.Uint64n(40))
-			if live[key] {
-				s.Set(key, rng.Uint64n(50)+1)
-			}
-		default: // remove
-			key := keyOf(rng.Uint64n(40))
-			if s.Remove(key) {
+		case op < 80: // update-max a random key, monitored or not
+			update(s, keyOf(rng.Uint64n(40)), rng.Uint64n(50)+1)
+		default: // probe, evict the minimum, then update through the handle
+			p, _ := probe(s, keyOf(rng.Uint64n(40)))
+			if key, _, ok := s.EvictMin(); ok {
 				delete(live, key)
 			}
+			s.UpdateMaxProbe(p, rng.Uint64n(50)+1)
 		}
 		if s.Len() != len(live) {
 			t.Fatalf("step %d: Len=%d live=%d", step, s.Len(), len(live))
@@ -322,18 +321,20 @@ func TestRandomizedInvariants(t *testing.T) {
 }
 
 func BenchmarkIncrHot(b *testing.B) {
-	s := New(1024)
+	s := NewSeeded(1024, 0)
 	for i := 0; i < 1024; i++ {
 		s.Insert(fmt.Sprintf("k%d", i), 1, 0)
 	}
+	kb := []byte("k512")
+	h := s.Hash(kb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Incr("k512")
+		s.IncrHashed(kb, h, 1)
 	}
 }
 
 func BenchmarkEvictInsertCycle(b *testing.B) {
-	s := New(256)
+	s := NewSeeded(256, 0)
 	for i := 0; i < 256; i++ {
 		s.Insert(fmt.Sprintf("k%d", i), uint64(i+1), 0)
 	}

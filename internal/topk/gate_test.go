@@ -17,7 +17,7 @@ import (
 func alwaysProbeInsert(t *Tracker, key []byte) {
 	h := t.KeyHash(key)
 	ss := t.store
-	flag := ss.ContainsHashed(key, h)
+	probe, flag := ss.ProbeHashed(key, h)
 	nmin := t.gateNMin(flag)
 	var est uint64
 	if t.opts.Version == Minimum {
@@ -33,7 +33,7 @@ func alwaysProbeInsert(t *Tracker, key []byte) {
 	}
 	switch {
 	case flag:
-		ss.UpdateMaxHashed(key, h, est)
+		ss.UpdateMaxProbe(probe, est)
 	case est == 0:
 	case !ss.Full():
 		admit()

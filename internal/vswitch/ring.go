@@ -1,11 +1,11 @@
 // Package vswitch simulates the paper's Open vSwitch deployment (§VII) with
-// the same three-component layout: a datapath that forwards packets and
-// parses flow IDs, a shared-memory buffer carrying the IDs, and a user-space
-// measurement program consuming them. The DPDK testbed is replaced by
-// goroutines and a lock-free single-producer/single-consumer ring — the
-// substitution documented in DESIGN.md §3 — so the experiment measures the
-// same thing the paper does: how much a measurement algorithm slows the
-// switch down relative to forwarding alone.
+// the same three-component layout: a datapath that forwards packets whose
+// flow IDs were extracted beforehand, a shared-memory buffer carrying the
+// IDs, and a user-space measurement program consuming them. The DPDK testbed
+// is replaced by goroutines and a lock-free single-producer/single-consumer
+// ring, so the experiment measures the same thing the paper does: how much
+// a measurement algorithm slows the switch down relative to forwarding
+// alone.
 package vswitch
 
 import (

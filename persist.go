@@ -217,6 +217,12 @@ func readShardedSections(r io.Reader) (*Sharded, error) {
 		if t.k != int(k) {
 			return nil, fmt.Errorf("%w: shard %d has k %d, container says %d", ErrCorrupt, i, t.k, k)
 		}
+		// shardFor hashes every key under shard 0's seed, so a shard with
+		// any other seed would never find its own buckets or entries again.
+		// Depth may differ: WithExpansion grows shards independently.
+		if i > 0 && t.t.Sketch().KeySeed() != tops[0].t.Sketch().KeySeed() {
+			return nil, fmt.Errorf("%w: shard %d's key seed differs from shard 0's", ErrCorrupt, i)
+		}
 		tops[i] = t
 	}
 	return newSharded(int(k), shardSeed, tops), nil

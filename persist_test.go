@@ -188,6 +188,23 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
+	// A two-shard container spliced from tk's section and the section of a
+	// tracker built under another seed: Sharded routes every key by shard
+	// 0's seed, so shard 1 could never see its restored counts again.
+	other := MustNew(10, WithSeed(2)).(*TopK)
+	ingestZipfish(other, 100, 4000)
+	var otherBuf bytes.Buffer
+	if _, err := other.WriteTo(&otherBuf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	mixedSeeds := append([]byte(nil), raw[:4]...)
+	mixedSeeds = append(mixedSeeds, 3) // kind: Sharded
+	mixedSeeds = binary.LittleEndian.AppendUint32(mixedSeeds, 2)
+	mixedSeeds = binary.LittleEndian.AppendUint64(mixedSeeds, 7)
+	mixedSeeds = binary.LittleEndian.AppendUint32(mixedSeeds, 10)
+	mixedSeeds = append(mixedSeeds, raw[5:]...)
+	mixedSeeds = append(mixedSeeds, otherBuf.Bytes()[5:]...)
+
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -217,6 +234,7 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 			copy(out[n-18:n-8], out[n-40:n-30])
 			return out
 		}()},
+		{"shard key seeds differ", mixedSeeds},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ReadSummarizer(bytes.NewReader(tc.data)); !errors.Is(err, ErrCorrupt) {

@@ -19,8 +19,8 @@ fmt:
 test:
 	$(GO) test ./...
 
-# race covers the packages with concurrency surface (root package: Concurrent,
-# Sharded; internal/vswitch: the lock-free SPSC ring and its pipeline) and the
+# race covers the packages with concurrency surface (root package: Sharded,
+# one shard or many, and Window; internal/vswitch: the lock-free SPSC ring and its pipeline) and the
 # sketch core under them. internal/vswitch takes a few seconds of test time
 # under -race; most of its wall time is the race build.
 race:

@@ -132,12 +132,13 @@ func BenchmarkAblationOptimizations(b *testing.B)  { benchAblation(b, "optimizat
 func BenchmarkAblationExpansion(b *testing.B)      { benchAblation(b, "expansion") }
 
 // ---------------------------------------------------------------------------
-// Parallel ingest benchmarks: Concurrent's single mutex vs Sharded's
-// per-shard locks, per-packet vs batched, across goroutine counts.
+// Parallel ingest benchmarks: WithConcurrency's single mutex (a one-shard
+// Sharded) vs Sharded's per-shard locks, per-packet vs batched, across
+// goroutine counts.
 //
 // Run with: go test -bench Ingest -benchtime 2s .
 // The acceptance target for the sharded subsystem is Sharded.AddBatch at
-// ≥ 2× the throughput of Concurrent.Add at 8 goroutines.
+// ≥ 2× the throughput of one-shard Add at 8 goroutines.
 // ---------------------------------------------------------------------------
 
 var (

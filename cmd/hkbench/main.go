@@ -8,7 +8,7 @@
 //	hkbench -figure all            # every figure (takes a while)
 //	hkbench -figure ablations      # the repository's extra ablations
 //	hkbench -figure 8 -scale 0.1   # closer to paper-scale workloads
-//	hkbench -throughput -shards 8 -batch 256   # TopK vs Concurrent vs Sharded
+//	hkbench -throughput -shards 8 -batch 256   # TopK vs one shard vs Sharded
 //	hkbench -throughput -algo spacesaving      # same comparison, another engine
 //	hkbench -throughput -json                  # machine-readable results
 //	hkbench -throughput -cpuprofile cpu.pprof  # attach pprof evidence
@@ -248,13 +248,14 @@ type throughputReport struct {
 	StoreIndex []storeIndexReport `json:"store_index,omitempty"`
 }
 
-// runThroughput measures ingest throughput (Mpps) of the three concurrency
-// frontends on one zipfian trace: a single TopK (sequential baseline),
-// Concurrent with g writer goroutines (per-packet and batched), and Sharded
-// with s shards and s writers (per-packet and batched). The speedup column
-// is relative to per-packet Concurrent, the paper-era default. algo selects
-// the backing engine from the public registry, so every registered
-// algorithm gets the same three-frontend comparison.
+// runThroughput measures ingest throughput (Mpps) of three deployment
+// shapes on one zipfian trace: a single TopK (sequential baseline), the
+// one-shard WithConcurrency Sharded with g writer goroutines (the
+// "Concurrent" rows, per-packet and batched), and Sharded with s shards and
+// s writers (per-packet and batched). The speedup column is relative to
+// per-packet Concurrent, the paper-era default. algo selects the backing
+// engine from the public registry, so every registered algorithm gets the
+// same three-shape comparison.
 func runThroughput(shards, batch int, scale float64, seed uint64, algo string, jsonOut bool) error {
 	if shards < 1 || batch < 1 {
 		return fmt.Errorf("hkbench: -shards and -batch must be >= 1")

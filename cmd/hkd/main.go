@@ -291,21 +291,7 @@ func buildSummarizer(algo string, k, memKB int, seed uint64, shards, epoch int, 
 			return sum, true, restoreDur, nil
 		}
 	}
-	opts := []heavykeeper.Option{
-		heavykeeper.WithAlgorithm(algo),
-		heavykeeper.WithMemory(memKB * 1024),
-		heavykeeper.WithSeed(seed),
-	}
-	if epoch != 0 {
-		sum, err := heavykeeper.NewWindow(k, epoch, opts...)
-		return sum, false, 0, err
-	}
-	if shards > 0 {
-		opts = append(opts, heavykeeper.WithShards(shards))
-	} else {
-		opts = append(opts, heavykeeper.WithConcurrency())
-	}
-	sum, err = heavykeeper.New(k, opts...)
+	sum, err = tenantFactory(algo, memKB, seed, shards, epoch)(k)
 	return sum, false, 0, err
 }
 

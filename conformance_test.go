@@ -1,5 +1,5 @@
 // Interface-conformance suite: every registered algorithm, under every
-// frontend (TopK, Concurrent, Sharded), must honor the Summarizer contract
+// frontend (TopK, one-shard and four-shard Sharded), must honor the Summarizer contract
 // — top-k recovery on a skewed stream, its estimate discipline (never-over
 // for the decay sketches and Misra–Gries, never-under for the Space-Saving
 // family and Lossy Counting's upper-bound report), descending List order,

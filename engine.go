@@ -7,9 +7,10 @@ import (
 )
 
 // Engine is the algorithm-side contract behind a Summarizer frontend: one
-// single-goroutine top-k tracker instance. The three frontends (TopK,
-// Concurrent, Sharded) layer identity, locking and shard routing on top of
-// it, so any registered algorithm gets all three deployment shapes for free.
+// single-goroutine top-k tracker instance, HeavyKeeper's included
+// (hkEngine). The two frontends (TopK, Sharded) layer identity, locking and
+// shard routing on top of it, so any registered algorithm gets every
+// deployment shape for free.
 //
 // The *Hashed methods are the one-hash discipline: KeyHash is the engine's
 // single per-key hash, and a caller that already computed it (the sharded

@@ -37,15 +37,13 @@ const (
 )
 
 func init() {
-	RegisterAlgorithm(AlgorithmHeavyKeeper, func(cfg EngineConfig) (Engine, error) {
-		return newHKEngine(AlgorithmHeavyKeeper, VersionParallel, cfg)
-	})
-	RegisterAlgorithm(AlgorithmHeavyKeeperMinimum, func(cfg EngineConfig) (Engine, error) {
-		return newHKEngine(AlgorithmHeavyKeeperMinimum, VersionMinimum, cfg)
-	})
-	RegisterAlgorithm(AlgorithmHeavyKeeperBasic, func(cfg EngineConfig) (Engine, error) {
-		return newHKEngine(AlgorithmHeavyKeeperBasic, VersionBasic, cfg)
-	})
+	for name, v := range hkVersions {
+		RegisterAlgorithm(name, func(cfg EngineConfig) (Engine, error) {
+			c := defaultConfig()
+			c.memoryBytes, c.seed, c.version = cfg.budget(), cfg.Seed, v
+			return newHKEngine(cfg.K, c)
+		})
+	}
 	RegisterAlgorithm(AlgorithmSpaceSaving, func(cfg EngineConfig) (Engine, error) {
 		s, err := spacesaving.FromBytesSeeded(cfg.budget(), cfg.Seed)
 		if err != nil {
@@ -105,29 +103,44 @@ func toFlows[E any](items []E, at func(E) (string, uint64)) []Flow {
 
 // --- HeavyKeeper ---
 
-// hkEngine exposes the repository's own tracker through the registry, for
-// harness use and uniform benchmarking. The TopK frontend does not go
-// through it: New keeps the devirtualized *topk.Tracker hot path.
+// hkEngine is the HeavyKeeper tracker as an Engine: TopK drives it like any
+// other algorithm, and the registry hands it to the harness.
 type hkEngine struct {
-	name string
-	t    *topk.Tracker
+	t *topk.Tracker
 }
 
-// newHKEngine applies the paper's §VI-A sizing: a k-entry summary plus
-// bucket arrays filling the remaining budget (the same rule New uses).
-func newHKEngine(name string, v Version, cfg EngineConfig) (Engine, error) {
-	c := defaultConfig()
-	c.memoryBytes = cfg.budget()
-	c.seed = cfg.Seed
-	c.version = v
-	t, err := newTracker(cfg.K, c)
+// newHKEngine builds the HeavyKeeper tracker a parsed config describes. New
+// and the registry both size it here, with the paper's §VI-A rule: a
+// k-entry summary plus bucket arrays filling the remaining budget.
+func newHKEngine(k int, cfg config) (Engine, error) {
+	t, err := topk.New(trackerOptions(k, cfg))
 	if err != nil {
 		return nil, err
 	}
-	return &hkEngine{name: name, t: t}, nil
+	return &hkEngine{t: t}, nil
 }
 
-func (e *hkEngine) Name() string                            { return e.name }
+// hkTracker returns the HeavyKeeper tracker behind e, or nil when e runs
+// another algorithm: snapshots, store-index statistics and merges reach
+// the tracker through it.
+func hkTracker(e Engine) *topk.Tracker {
+	if h, ok := e.(*hkEngine); ok {
+		return h.t
+	}
+	return nil
+}
+
+// Name is the registry name of the tracker's insertion discipline.
+func (e *hkEngine) Name() string {
+	switch e.t.Options().Version {
+	case topk.Minimum:
+		return AlgorithmHeavyKeeperMinimum
+	case topk.Basic:
+		return AlgorithmHeavyKeeperBasic
+	}
+	return AlgorithmHeavyKeeper
+}
+
 func (e *hkEngine) KeyHash(key []byte) uint64               { return e.t.KeyHash(key) }
 func (e *hkEngine) Insert(key []byte)                       { e.t.Insert(key) }
 func (e *hkEngine) InsertHashed(key []byte, h uint64)       { e.t.InsertHashed(key, h) }
@@ -141,11 +154,11 @@ func (e *hkEngine) Top(k int) []Flow {
 	return toFlows(e.t.Top(), func(en topk.Entry) (string, uint64) { return en.Key, en.Count })
 }
 func (e *hkEngine) MergeFrom(other Engine) error {
-	o, ok := other.(*hkEngine)
-	if !ok {
-		return fmt.Errorf("%w: %s vs %s", ErrMergeMismatch, e.name, other.Name())
+	o := hkTracker(other)
+	if o == nil {
+		return fmt.Errorf("%w: %s vs %s", ErrMergeMismatch, e.Name(), other.Name())
 	}
-	if err := e.t.MergeFrom(o.t); err != nil {
+	if err := e.t.MergeFrom(o); err != nil {
 		return fmt.Errorf("%w: %v", ErrMergeMismatch, err)
 	}
 	return nil

@@ -65,8 +65,7 @@ func ExampleWithAlgorithm() {
 	// light 1
 }
 
-// All streams the report in descending order; breaking early is free on the
-// default store (nothing beyond the consumed prefix is materialized).
+// All iterates the report in descending order; the loop may stop early.
 func ExampleSummarizer_all() {
 	tk := heavykeeper.MustNew(10, heavykeeper.WithSeed(7))
 	for i, id := range []string{"a", "b", "c", "d"} {

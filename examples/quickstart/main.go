@@ -34,7 +34,7 @@ func main() {
 	exact := tr.ExactCounts()
 	fmt.Println("top-10 flows (estimate vs. exact):")
 	rank := 0
-	for f := range tk.All() { // streams off the store in descending order
+	for f := range tk.All() { // the top-k in descending order
 		rank++
 		fmt.Printf("  #%-2d %x  est=%-6d true=%d\n",
 			rank, f.ID, f.Count, exact[string(f.ID)])

@@ -22,11 +22,11 @@
 //	}
 //
 // New returns a Summarizer; every deployment shape implements that one
-// interface. A plain *TopK is not safe for concurrent use;
-// WithConcurrency wraps one behind a single mutex for modest
-// multi-goroutine loads; WithShards fans flows across per-core shards by
-// flow hash, with per-shard locks and a batched ingest path (AddBatch),
-// for pipelines that need to scale with cores.
+// interface. A plain *TopK is not safe for concurrent use; WithShards
+// fans flows across per-core shards by flow hash, with per-shard locks and
+// a batched ingest path (AddBatch), for pipelines that need to scale with
+// cores; WithConcurrency is its one-shard form, one structure behind a
+// single mutex, for modest multi-goroutine loads.
 //
 // The backing algorithm is pluggable: WithAlgorithm selects any engine in
 // the registry (Space-Saving, CSS, HeavyGuardian, Frequent, Lossy Counting,
@@ -39,7 +39,6 @@ import (
 	"iter"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/streamsummary"
 	"repro/internal/topk"
 )
@@ -233,9 +232,9 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithConcurrency makes New return a *Concurrent: the structure behind a
-// single mutex, safe for modest multi-goroutine loads. Mutually exclusive
-// with WithShards, which scales further via per-shard locks.
+// WithConcurrency makes New return a one-shard *Sharded: the structure
+// behind a single mutex, safe for modest multi-goroutine loads. It is
+// WithShards(1), and mutually exclusive with WithShards.
 func WithConcurrency() Option {
 	return func(c *config) error {
 		c.concurrent = true
@@ -266,14 +265,14 @@ const DefaultMemory = 64 << 10
 
 // TopK tracks the k largest flows of a stream. It is the single-goroutine
 // frontend of the package; New returns one unless WithConcurrency or
-// WithShards asks for a synchronized shape.
+// WithShards asks for a synchronized shape. Every algorithm, HeavyKeeper
+// included, runs behind its registry Engine.
 type TopK struct {
-	// Exactly one of t and eng is non-nil: t carries the HeavyKeeper engine
-	// on its devirtualized hot path, eng carries a registry engine.
-	t   *topk.Tracker
 	eng Engine
-	cfg config
 	k   int
+	// seed is the WithSeed value; a one-shard Sharded wrapping this TopK
+	// derives its shard seed from it.
+	seed uint64
 }
 
 // parseConfig validates k and folds the options into a config.
@@ -293,33 +292,38 @@ func parseConfig(k int, opts []Option) (config, error) {
 	if cfg.shards != 0 && cfg.concurrent {
 		return config{}, fmt.Errorf("%w: WithShards and WithConcurrency are mutually exclusive", ErrOptionConflict)
 	}
+	if cfg.concurrent {
+		cfg.shards = 1
+	}
 	if !isHeavyKeeperAlgorithm(cfg.algorithm) && len(cfg.hkOnly) > 0 {
 		return config{}, fmt.Errorf("%w: %v do not apply to algorithm %q",
 			ErrOptionConflict, cfg.hkOnly, cfg.algorithm)
 	}
 	// The versioned algorithm names carry their discipline; an explicit
 	// WithVersion that disagrees is a conflict, never a silent override.
-	if cfg.versionSet {
-		versioned := map[string]Version{
-			AlgorithmHeavyKeeperMinimum: VersionMinimum,
-			AlgorithmHeavyKeeperBasic:   VersionBasic,
-		}
-		if v, ok := versioned[cfg.algorithm]; ok && v != cfg.version {
+	if v, ok := hkVersions[cfg.algorithm]; ok && cfg.algorithm != AlgorithmHeavyKeeper {
+		if cfg.versionSet && v != cfg.version {
 			return config{}, fmt.Errorf("%w: WithVersion(%v) vs WithAlgorithm(%q)",
 				ErrOptionConflict, cfg.version, cfg.algorithm)
 		}
+		cfg.version = v
 	}
 	return cfg, nil
 }
 
-// isHeavyKeeperAlgorithm reports whether name selects the native tracker
-// path (the empty name is the default HeavyKeeper).
+// hkVersions maps each HeavyKeeper algorithm name to its insertion
+// discipline.
+var hkVersions = map[string]Version{
+	AlgorithmHeavyKeeper:        VersionParallel,
+	AlgorithmHeavyKeeperMinimum: VersionMinimum,
+	AlgorithmHeavyKeeperBasic:   VersionBasic,
+}
+
+// isHeavyKeeperAlgorithm reports whether name selects the HeavyKeeper
+// tracker (the empty name is the default HeavyKeeper).
 func isHeavyKeeperAlgorithm(name string) bool {
-	switch name {
-	case "", AlgorithmHeavyKeeper, AlgorithmHeavyKeeperMinimum, AlgorithmHeavyKeeperBasic:
-		return true
-	}
-	return false
+	_, ok := hkVersions[name]
+	return ok || name == ""
 }
 
 // sizeWidth converts the config's byte budget into a per-array bucket count:
@@ -343,7 +347,7 @@ func sizeWidth(k int, cfg config) int {
 }
 
 // trackerOptions translates a parsed config into the internal tracker
-// options; newTracker and the windowed wrapper share it so one
+// options; newHKEngine and the windowed wrapper share it so one
 // translation rule covers both deployment shapes.
 func trackerOptions(k int, cfg config) topk.Options {
 	width := sizeWidth(k, cfg)
@@ -371,102 +375,28 @@ func trackerOptions(k int, cfg config) topk.Options {
 	}
 }
 
-// newTracker builds the HeavyKeeper tracker a parsed config describes.
-func newTracker(k int, cfg config) (*topk.Tracker, error) {
-	return topk.New(trackerOptions(k, cfg))
-}
-
-// applyVersionedAlgorithm folds a versioned HeavyKeeper algorithm name
-// into the config's insertion discipline; newTopK and NewWindow share it
-// so the name-to-discipline rule cannot drift between deployment shapes.
-func applyVersionedAlgorithm(cfg *config) {
-	switch cfg.algorithm {
-	case AlgorithmHeavyKeeperMinimum:
-		cfg.version = VersionMinimum
-	case AlgorithmHeavyKeeperBasic:
-		cfg.version = VersionBasic
-	}
-}
-
-// newTopK builds a TopK from a parsed config: the devirtualized HeavyKeeper
-// tracker for the default algorithm, a registry engine otherwise.
+// newTopK builds a TopK from a parsed config: the HeavyKeeper engine for
+// the HeavyKeeper algorithm family, a registry engine otherwise.
 func newTopK(k int, cfg config) (*TopK, error) {
-	applyVersionedAlgorithm(&cfg)
+	var eng Engine
+	var err error
 	if isHeavyKeeperAlgorithm(cfg.algorithm) {
-		tr, err := newTracker(k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &TopK{t: tr, cfg: cfg, k: k}, nil
+		eng, err = newHKEngine(k, cfg)
+	} else {
+		eng, err = BuildEngine(cfg.algorithm, EngineConfig{
+			K:           k,
+			MemoryBytes: cfg.memoryBytes,
+			Seed:        cfg.seed,
+		})
 	}
-	eng, err := BuildEngine(cfg.algorithm, EngineConfig{
-		K:           k,
-		MemoryBytes: cfg.memoryBytes,
-		Seed:        cfg.seed,
-	})
 	if err != nil {
 		return nil, err
 	}
-	return &TopK{eng: eng, cfg: cfg, k: k}, nil
+	return &TopK{eng: eng, k: k, seed: cfg.seed}, nil
 }
 
 // Add records one occurrence of flowID (one packet of the flow).
-func (t *TopK) Add(flowID []byte) {
-	if t.t != nil {
-		t.t.Insert(flowID)
-		return
-	}
-	t.eng.Insert(flowID)
-}
-
-// keyHash returns the single per-key hash the structure derives everything
-// from; Sharded computes it once per packet for routing and hands it down
-// through the *hashed entry points so the key bytes are never hashed twice.
-func (t *TopK) keyHash(flowID []byte) uint64 {
-	if t.t != nil {
-		return t.t.KeyHash(flowID)
-	}
-	return t.eng.KeyHash(flowID)
-}
-
-// addHashed, addNHashed, addBatchHashed and queryHashed are the
-// precomputed-hash twins of Add/AddN/AddBatch/Query, for the sharded router.
-func (t *TopK) addHashed(flowID []byte, h uint64) {
-	if t.t != nil {
-		t.t.InsertHashed(flowID, h)
-		return
-	}
-	t.eng.InsertHashed(flowID, h)
-}
-
-func (t *TopK) addNHashed(flowID []byte, h uint64, n uint64) {
-	if t.t != nil {
-		t.t.InsertNHashed(flowID, h, n)
-		return
-	}
-	t.eng.InsertNHashed(flowID, h, n)
-}
-
-func (t *TopK) addBatchHashed(flowIDs [][]byte, hashes []uint64) {
-	if t.t != nil {
-		t.t.InsertBatchHashed(flowIDs, hashes)
-		return
-	}
-	if b, ok := t.eng.(BatchEngine); ok {
-		b.InsertBatchHashed(flowIDs, hashes)
-		return
-	}
-	for i, id := range flowIDs {
-		t.eng.InsertHashed(id, hashes[i])
-	}
-}
-
-func (t *TopK) queryHashed(flowID []byte, h uint64) uint64 {
-	if t.t != nil {
-		return t.t.QueryHashed(flowID, h)
-	}
-	return t.eng.QueryHashed(flowID, h)
-}
+func (t *TopK) Add(flowID []byte) { t.eng.Insert(flowID) }
 
 // AddString is Add for string identifiers. The string is not copied: the
 // ingest path reads the bytes once and materializes its own copy only on
@@ -480,17 +410,21 @@ func (t *TopK) AddString(flowID string) { t.Add(bytesOf(flowID)) }
 // whenever arrivals are already buffered (NIC batches, channel drains,
 // Sharded ingest). Registry engines without a batched path fall back to a
 // per-key loop.
-func (t *TopK) AddBatch(flowIDs [][]byte) {
-	if t.t != nil {
-		t.t.InsertBatch(flowIDs)
-		return
-	}
+func (t *TopK) AddBatch(flowIDs [][]byte) { t.addBatchHashed(flowIDs, nil) }
+
+// addBatchHashed is AddBatch with each key's precomputed KeyHash, for the
+// sharded router; nil hashes means the engine hashes each key itself.
+func (t *TopK) addBatchHashed(flowIDs [][]byte, hashes []uint64) {
 	if b, ok := t.eng.(BatchEngine); ok {
-		b.InsertBatchHashed(flowIDs, nil)
+		b.InsertBatchHashed(flowIDs, hashes)
 		return
 	}
-	for _, id := range flowIDs {
-		t.eng.Insert(id)
+	for i, id := range flowIDs {
+		if hashes == nil {
+			t.eng.Insert(id)
+		} else {
+			t.eng.InsertHashed(id, hashes[i])
+		}
 	}
 }
 
@@ -507,17 +441,8 @@ func (t *TopK) Merge(other Summarizer) error {
 	if !ok || o == nil {
 		return fmt.Errorf("%w: TopK cannot merge %T", ErrMergeMismatch, other)
 	}
-	if t.t != nil {
-		if o.t == nil {
-			return fmt.Errorf("%w: heavykeeper vs %s", ErrMergeMismatch, o.eng.Name())
-		}
-		if err := t.t.MergeFrom(o.t); err != nil {
-			return fmt.Errorf("%w: %v", ErrMergeMismatch, err)
-		}
-		return nil
-	}
-	if o.eng == nil {
-		return fmt.Errorf("%w: %s vs heavykeeper", ErrMergeMismatch, t.eng.Name())
+	if t.eng.Name() != o.eng.Name() {
+		return fmt.Errorf("%w: %s vs %s", ErrMergeMismatch, t.eng.Name(), o.eng.Name())
 	}
 	return t.eng.MergeFrom(o.eng)
 }
@@ -527,110 +452,36 @@ func (t *TopK) Merge(other Summarizer) error {
 // updates are this implementation's extension to the paper (its §III-F
 // notes the original cannot support them); see internal/topk.InsertN for
 // the admission-rule consequence.
-func (t *TopK) AddN(flowID []byte, n uint64) {
-	if t.t != nil {
-		t.t.InsertN(flowID, n)
-		return
-	}
-	t.eng.InsertN(flowID, n)
-}
+func (t *TopK) AddN(flowID []byte, n uint64) { t.eng.InsertN(flowID, n) }
 
 // Query returns the current size estimate for flowID. A flow held nowhere
 // reports 0 — "it is a mouse flow" (paper §III-B).
-func (t *TopK) Query(flowID []byte) uint64 {
-	if t.t != nil {
-		return t.t.Query(flowID)
-	}
-	return t.eng.Query(flowID)
-}
+func (t *TopK) Query(flowID []byte) uint64 { return t.eng.Query(flowID) }
 
 // List returns the current top-k flows in descending estimated size.
-func (t *TopK) List() []Flow {
-	if t.t == nil {
-		return t.eng.Top(t.k)
-	}
-	entries := t.t.Top()
-	out := make([]Flow, len(entries))
-	for i, e := range entries {
-		out[i] = Flow{ID: []byte(e.Key), Count: e.Count}
-	}
-	return out
-}
+func (t *TopK) List() []Flow { return t.eng.Top(t.k) }
 
-// All returns an iterator over the current top-k flows in descending
-// estimated size. With the default store it streams straight off the
-// Stream-Summary's bucket list — no slice is materialized, and breaking
-// early costs nothing. The TopK must not be mutated while the iterator is
-// consumed (it is single-goroutine anyway).
-func (t *TopK) All() iter.Seq[Flow] {
-	if t.t == nil {
-		return yieldFlows(t.eng.Top(t.k))
-	}
-	return func(yield func(Flow) bool) {
-		for e := range t.t.All() {
-			if !yield(Flow{ID: []byte(e.Key), Count: e.Count}) {
-				return
-			}
-		}
-	}
-}
-
-// topEntries is List in the collector's report shape, for Sharded's merge.
-func (t *TopK) topEntries() []metrics.Entry {
-	if t.t != nil {
-		top := t.t.Top()
-		rep := make([]metrics.Entry, len(top))
-		for i, e := range top {
-			rep[i] = metrics.Entry{Key: e.Key, Count: e.Count}
-		}
-		return rep
-	}
-	top := t.eng.Top(t.k)
-	rep := make([]metrics.Entry, len(top))
-	for i, f := range top {
-		rep[i] = metrics.Entry{Key: string(f.ID), Count: f.Count}
-	}
-	return rep
-}
+// All returns an iterator over the top-k flows List reports when All is
+// called, in descending estimated size.
+func (t *TopK) All() iter.Seq[Flow] { return yieldFlows(t.List()) }
 
 // K returns the configured report size.
 func (t *TopK) K() int { return t.k }
 
 // Version returns the configured insertion discipline. It is meaningful for
 // the HeavyKeeper algorithm only; registry engines report the default.
-func (t *TopK) Version() Version { return t.cfg.version }
+func (t *TopK) Version() Version { return hkVersions[t.eng.Name()] }
 
 // Algorithm returns the backing algorithm's registry name.
-func (t *TopK) Algorithm() string {
-	if t.t != nil {
-		switch t.cfg.version {
-		case VersionMinimum:
-			return AlgorithmHeavyKeeperMinimum
-		case VersionBasic:
-			return AlgorithmHeavyKeeperBasic
-		}
-		return AlgorithmHeavyKeeper
-	}
-	return t.eng.Name()
-}
+func (t *TopK) Algorithm() string { return t.eng.Name() }
 
 // MemoryBytes returns the structure's logical memory footprint.
-func (t *TopK) MemoryBytes() int {
-	if t.t != nil {
-		return t.t.MemoryBytes()
-	}
-	return t.eng.MemoryBytes()
-}
+func (t *TopK) MemoryBytes() int { return t.eng.MemoryBytes() }
 
 // Stats exposes the engine's internal event counters (decays, replacements,
 // expansions for sketch engines; at least Packets for all), useful for
 // monitoring and tuning.
-func (t *TopK) Stats() Stats {
-	if t.t != nil {
-		return t.t.Sketch().Stats()
-	}
-	return t.eng.Stats()
-}
+func (t *TopK) Stats() Stats { return t.eng.Stats() }
 
 // StoreIndexStats describes the open-addressed key index of the top-k store
 // at a point in time; hkbench reports it so index pressure stays observable.
@@ -651,10 +502,11 @@ type StoreIndexStats struct {
 // StoreIndexStats reports the top-k store's index occupancy and probe
 // lengths. ok is false for registry engines, which manage their own stores.
 func (t *TopK) StoreIndexStats() (st StoreIndexStats, ok bool) {
-	if t.t == nil {
+	tr := hkTracker(t.eng)
+	if tr == nil {
 		return StoreIndexStats{}, false
 	}
-	is := t.t.StoreIndexStats()
+	is := tr.StoreIndexStats()
 	return StoreIndexStats{
 		Capacity:  is.Capacity,
 		TableSize: is.TableSize,

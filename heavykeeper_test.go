@@ -88,18 +88,20 @@ func TestNewDispatch(t *testing.T) {
 	} else if _, ok := s.(*TopK); !ok {
 		t.Errorf("New(k) = %T, want *TopK", s)
 	}
-	if s := MustNew(10, WithConcurrency()); s == nil {
-		t.Fatal("nil summarizer")
-	} else if _, ok := s.(*Concurrent); !ok {
-		t.Errorf("New(k, WithConcurrency()) = %T, want *Concurrent", s)
-	}
-	s := MustNew(10, WithShards(4))
-	sh, ok := s.(*Sharded)
-	if !ok {
-		t.Fatalf("New(k, WithShards(4)) = %T, want *Sharded", s)
-	}
-	if sh.Shards() != 4 {
-		t.Errorf("Shards() = %d want 4", sh.Shards())
+	for _, tc := range []struct {
+		name   string
+		opt    Option
+		shards int
+	}{
+		{"WithConcurrency()", WithConcurrency(), 1},
+		{"WithShards(4)", WithShards(4), 4},
+	} {
+		sh, ok := MustNew(10, tc.opt).(*Sharded)
+		if !ok {
+			t.Errorf("New(k, %s) is not a *Sharded", tc.name)
+		} else if sh.Shards() != tc.shards {
+			t.Errorf("New(k, %s).Shards() = %d want %d", tc.name, sh.Shards(), tc.shards)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Hot-path regression tests: the ingest path performs exactly one key-bytes
 // hash per packet and zero heap allocations per operation, across every
-// frontend (TopK, Concurrent, Sharded). These pin the PR 2 one-hash /
-// packed-layout properties so later work cannot silently regress them.
+// frontend: TopK, the one-shard WithConcurrency Sharded (the "Concurrent"
+// rows) and a four-shard Sharded. These pin the one-hash and packed-layout
+// properties so later work cannot silently regress them.
 package heavykeeper_test
 
 import (

@@ -13,7 +13,6 @@ package topk
 
 import (
 	"fmt"
-	"iter"
 	"sort"
 
 	"repro/internal/core"
@@ -395,20 +394,6 @@ func (t *Tracker) Top() []Entry {
 		out[i] = Entry{Key: e.Key, Count: e.Count}
 	}
 	return out
-}
-
-// All returns an iterator over the current top-k flows in descending
-// estimated size, streamed straight off the bucket list without
-// materializing a slice. The tracker must not be mutated while the
-// iteration is consumed.
-func (t *Tracker) All() iter.Seq[Entry] {
-	return func(yield func(Entry) bool) {
-		for e := range t.store.All() {
-			if !yield(Entry{Key: e.Key, Count: e.Count}) {
-				return
-			}
-		}
-	}
 }
 
 // K returns the configured k.

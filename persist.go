@@ -15,16 +15,19 @@ import (
 // format, which itself embeds the sketch's v3 frame):
 //
 //	u32  magic "HKS1"
-//	u8   kind: 1 = TopK, 2 = Concurrent, 3 = Sharded
+//	u8   kind: 1 = TopK, 2 = one-shard Sharded (read only), 3 = Sharded
 //	     kind 1, 2: one tracker section
 //	     kind 3:    u32 shard count | u64 shard seed | u32 k |
 //	                one tracker section per shard
 //
 // WriteTo on a frontend emits the container; ReadSummarizer rebuilds the
-// frontend it describes (ReadTopK insists on kind 1). Only tracker-backed
-// summarizers — the HeavyKeeper algorithm family — serialize; registry
-// engines return ErrSnapshotUnsupported. All decode failures match
-// ErrCorrupt via errors.Is and never panic.
+// frontend it describes (ReadTopK insists on kind 1). Kind 2 is what the
+// mutex-guarded frontend that WithConcurrency once built wrote; it is no
+// longer written, and reads back as the one-shard Sharded that
+// WithConcurrency builds now, its shard seed derived from the section's
+// seed. Only tracker-backed summarizers — the HeavyKeeper algorithm family
+// — serialize; registry engines return ErrSnapshotUnsupported. All decode
+// failures match ErrCorrupt via errors.Is and never panic.
 //
 // This is the restart-recovery surface the hkd daemon uses: snapshot
 // periodically and on shutdown, restore on start, and the daemon resumes
@@ -42,18 +45,17 @@ const (
 )
 
 // SnapshotWriter is implemented by every summarizer with a snapshot
-// format: TopK, Concurrent and Sharded over the HeavyKeeper algorithm
-// family. WriteTo emits a container ReadSummarizer rebuilds; a
-// registry-engine summarizer implements the interface but returns
-// ErrSnapshotUnsupported at call time.
+// format: TopK (kind 1) and Sharded (kind 3) over the HeavyKeeper
+// algorithm family; nothing writes kind 2. WriteTo emits a container
+// ReadSummarizer rebuilds; a registry-engine summarizer implements the
+// interface but returns ErrSnapshotUnsupported at call time.
 type SnapshotWriter interface {
 	WriteTo(w io.Writer) (int64, error)
 }
 
-// Compile-time checks: the three frontends expose the snapshot surface.
+// Compile-time checks: the frontends expose the snapshot surface.
 var (
 	_ SnapshotWriter = (*TopK)(nil)
-	_ SnapshotWriter = (*Concurrent)(nil)
 	_ SnapshotWriter = (*Sharded)(nil)
 )
 
@@ -63,15 +65,16 @@ var (
 // Registry-engine TopKs return ErrSnapshotUnsupported: only the
 // HeavyKeeper tracker family has a defined snapshot format.
 func (t *TopK) WriteTo(w io.Writer) (int64, error) {
-	return writeContainer(w, snapKindTopK, t)
-}
-
-// WriteTo serializes the Concurrent under its lock; ingest may resume as
-// soon as it returns. See TopK.WriteTo for the format contract.
-func (c *Concurrent) WriteTo(w io.Writer) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return writeContainer(w, snapKindConcurrent, c.t)
+	tr, err := trackerOf(t)
+	if err != nil {
+		return 0, err
+	}
+	n, err := writeHeader(w, snapshotMagic, uint8(snapKindTopK))
+	if err != nil {
+		return n, err
+	}
+	wn, err := tr.WriteTo(w)
+	return n + wn, err
 }
 
 // WriteTo serializes the Sharded, taking shard locks one at a time — under
@@ -79,14 +82,10 @@ func (c *Concurrent) WriteTo(w io.Writer) (int64, error) {
 // time-smeared across shards, exactly like List. See TopK.WriteTo for the
 // format contract.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	head := []any{snapshotMagic, uint8(snapKindSharded),
-		uint32(len(s.shards)), s.shardSeed, uint32(s.k)}
-	for _, v := range head {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return n, err
-		}
-		n += int64(binary.Size(v))
+	n, err := writeHeader(w, snapshotMagic, uint8(snapKindSharded),
+		uint32(len(s.shards)), s.shardSeed, uint32(s.k))
+	if err != nil {
+		return n, err
 	}
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -105,30 +104,25 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// writeContainer emits the magic, a kind byte and one tracker section.
-func writeContainer(w io.Writer, kind uint8, t *TopK) (int64, error) {
-	tr, err := trackerOf(t)
-	if err != nil {
-		return 0, err
-	}
+// writeHeader writes the container header fields, little-endian.
+func writeHeader(w io.Writer, fields ...any) (int64, error) {
 	var n int64
-	for _, v := range []any{snapshotMagic, kind} {
+	for _, v := range fields {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
 			return n, err
 		}
 		n += int64(binary.Size(v))
 	}
-	wn, err := tr.WriteTo(w)
-	return n + wn, err
+	return n, nil
 }
 
 // trackerOf returns t's HeavyKeeper tracker, or ErrSnapshotUnsupported
 // for a registry-engine TopK.
 func trackerOf(t *TopK) (*topk.Tracker, error) {
-	if t.t == nil {
-		return nil, fmt.Errorf("%w: algorithm %q", ErrSnapshotUnsupported, t.eng.Name())
+	if tr := hkTracker(t.eng); tr != nil {
+		return tr, nil
 	}
-	return t.t, nil
+	return nil, fmt.Errorf("%w: algorithm %q", ErrSnapshotUnsupported, t.eng.Name())
 }
 
 // ReadTopK rebuilds a *TopK from a TopK.WriteTo container. A container
@@ -147,9 +141,9 @@ func ReadTopK(r io.Reader) (*TopK, error) {
 }
 
 // ReadSummarizer rebuilds the summarizer a WriteTo container describes —
-// a *TopK, *Concurrent or *Sharded, fully operational with the writer's
-// sketch contents, top-k candidates and configuration (ingest event
-// counters restart at zero). Any malformed, truncated or oversized input
+// a *TopK or *Sharded, fully operational with the writer's sketch
+// contents, top-k candidates and configuration (ingest event counters
+// restart at zero). Any malformed, truncated or oversized input
 // returns an error matching ErrCorrupt; decoding never panics.
 func ReadSummarizer(r io.Reader) (Summarizer, error) {
 	var magic uint32
@@ -175,7 +169,7 @@ func ReadSummarizer(r io.Reader) (Summarizer, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Concurrent{t: t}, nil
+		return oneShard(t), nil
 	case snapKindSharded:
 		return readShardedSections(r)
 	default:
@@ -189,7 +183,7 @@ func readTopKSection(r io.Reader) (*TopK, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	return &TopK{t: tr, cfg: configFromTrackerOptions(tr.Options()), k: tr.K()}, nil
+	return &TopK{eng: &hkEngine{t: tr}, k: tr.K(), seed: tr.Options().Sketch.Seed}, nil
 }
 
 // readShardedSections restores a sharded container.
@@ -209,6 +203,7 @@ func readShardedSections(r io.Reader) (*Sharded, error) {
 		return nil, fmt.Errorf("%w: implausible shard header (%d shards, k %d)", ErrCorrupt, shards, k)
 	}
 	tops := make([]*TopK, shards)
+	var first shardShape
 	for i := range tops {
 		t, err := readTopKSection(r)
 		if err != nil {
@@ -218,42 +213,46 @@ func readShardedSections(r io.Reader) (*Sharded, error) {
 			return nil, fmt.Errorf("%w: shard %d has k %d, container says %d", ErrCorrupt, i, t.k, k)
 		}
 		// shardFor hashes every key under shard 0's seed, so a shard with
-		// any other seed would never find its own buckets or entries again.
-		// Depth may differ: WithExpansion grows shards independently.
-		if i > 0 && t.t.Sketch().KeySeed() != tops[0].t.Sketch().KeySeed() {
-			return nil, fmt.Errorf("%w: shard %d's key seed differs from shard 0's", ErrCorrupt, i)
+		// any other seed would never find its own buckets or entries again;
+		// and newShardedFromConfig gives every shard one discipline and
+		// geometry.
+		shape := shapeOf(hkTracker(t.eng))
+		if i == 0 {
+			first = shape
+		} else if shape != first {
+			return nil, fmt.Errorf("%w: shard %d's key seed, discipline or geometry differs from shard 0's", ErrCorrupt, i)
 		}
 		tops[i] = t
 	}
 	return newSharded(int(k), shardSeed, tops), nil
 }
 
-// configFromTrackerOptions reconstructs the frontend-level config a
-// restored tracker implies, so Version, Algorithm and option-sensitive
-// behavior report correctly on a restored TopK.
-func configFromTrackerOptions(o topk.Options) config {
-	cfg := defaultConfig()
-	cfg.width = o.Sketch.W
-	cfg.depth = o.Sketch.D
-	if o.Sketch.B != 0 {
-		cfg.decayBase = o.Sketch.B
+// shardShape is what every shard of one Sharded shares. Depth is left
+// out: WithExpansion grows shards independently.
+type shardShape struct {
+	keySeed         uint64
+	version         topk.Version
+	width           int
+	decayBase       float64
+	fingerprintBits uint
+	counterBits     uint
+	expandThreshold uint64
+	maxArrays       int
+}
+
+// shapeOf reads a restored shard's shardShape.
+func shapeOf(tr *topk.Tracker) shardShape {
+	o := tr.Options()
+	return shardShape{
+		keySeed:         tr.Sketch().KeySeed(),
+		version:         o.Version,
+		width:           o.Sketch.W,
+		decayBase:       o.Sketch.B,
+		fingerprintBits: o.Sketch.FingerprintBits,
+		counterBits:     o.Sketch.CounterBits,
+		expandThreshold: o.Sketch.ExpandThreshold,
+		maxArrays:       o.Sketch.MaxArrays,
 	}
-	if o.Sketch.FingerprintBits != 0 {
-		cfg.fingerprintBits = o.Sketch.FingerprintBits
-	}
-	cfg.seed = o.Sketch.Seed
-	cfg.expandThreshold = o.Sketch.ExpandThreshold
-	cfg.maxArrays = o.Sketch.MaxArrays
-	switch o.Version {
-	case topk.Minimum:
-		cfg.version = VersionMinimum
-	case topk.Basic:
-		cfg.version = VersionBasic
-	default:
-		cfg.version = VersionParallel
-	}
-	cfg.versionSet = true
-	return cfg
 }
 
 // Checksummed snapshot envelope. WriteTo containers are byte-exact but

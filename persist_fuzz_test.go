@@ -7,12 +7,13 @@ import (
 )
 
 // fuzzSnapshotCorpus builds the seed corpus for FuzzSnapshotRead: one
-// valid checksummed envelope per frontend kind, a bare WriteTo container
+// valid checksummed envelope per container kind, a bare WriteTo container
 // (which must be rejected), and structured corruptions of each (truncations, bit flips, bad magic)
 // so the fuzzer starts at the interesting boundaries instead of having
 // to rediscover the format.
 func fuzzSnapshotCorpus(f *testing.F) {
 	add := func(b []byte) { f.Add(b) }
+	var writers []SnapshotWriter
 	for _, opts := range [][]Option{
 		nil,
 		{WithConcurrency()},
@@ -21,8 +22,18 @@ func fuzzSnapshotCorpus(f *testing.F) {
 	} {
 		s := MustNew(5, append([]Option{WithSeed(1), WithMemory(4 << 10)}, opts...)...)
 		ingestZipfish(s, 50, 2000)
+		writers = append(writers, s.(SnapshotWriter))
+	}
+	// Nothing writes kind 2 any more, but it is still read: seed it as a
+	// TopK container with its kind byte patched, the layout kind 2 has.
+	var bare bytes.Buffer
+	if _, err := writers[0].WriteTo(&bare); err != nil {
+		f.Fatalf("WriteTo: %v", err)
+	}
+	writers = append(writers, rawContainer(patchByte(bare.Bytes(), 4, snapKindConcurrent)))
+	for _, s := range writers {
 		var buf bytes.Buffer
-		if _, err := WriteSnapshot(&buf, s.(SnapshotWriter)); err != nil {
+		if _, err := WriteSnapshot(&buf, s); err != nil {
 			f.Fatalf("WriteSnapshot: %v", err)
 		}
 		raw := buf.Bytes()
@@ -34,7 +45,7 @@ func fuzzSnapshotCorpus(f *testing.F) {
 		add(flipped)
 
 		buf.Reset()
-		if _, err := s.(SnapshotWriter).WriteTo(&buf); err != nil {
+		if _, err := s.WriteTo(&buf); err != nil {
 			f.Fatalf("WriteTo: %v", err)
 		}
 		add(buf.Bytes()) // bare container: no envelope, so rejected

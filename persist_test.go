@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 )
 
@@ -110,7 +111,7 @@ func TestReadTopKKindStrict(t *testing.T) {
 		t.Fatalf("WriteTo: %v", err)
 	}
 	if _, err := ReadTopK(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReadTopK on a Concurrent container: got %v, want ErrCorrupt", err)
+		t.Fatalf("ReadTopK on a WithConcurrency container: got %v, want ErrCorrupt", err)
 	}
 
 	tk := MustNew(5)
@@ -124,6 +125,87 @@ func TestReadTopKKindStrict(t *testing.T) {
 		t.Fatalf("ReadTopK: %v", err)
 	}
 	summarizersEqual(t, tk, got, persistProbes())
+}
+
+// rawContainer is a SnapshotWriter that emits fixed container bytes.
+type rawContainer []byte
+
+func (r rawContainer) WriteTo(w io.Writer) (int64, error) {
+	n, err := w.Write(r)
+	return int64(n), err
+}
+
+// TestSnapshotKind2Restores: a kind-2 container, which nothing writes any
+// more, still restores through both readers as the one-shard Sharded that
+// WithConcurrency builds. The input is a TopK container with its kind byte
+// patched to 2; the layouts are otherwise byte for byte the same.
+func TestSnapshotKind2Restores(t *testing.T) {
+	opts := []Option{WithSeed(9), WithMemory(16 << 10)}
+	source := func() (*TopK, []byte) {
+		src := MustNew(10, opts...).(*TopK)
+		ingestZipfish(src, 500, 20000)
+		var buf bytes.Buffer
+		if _, err := src.WriteTo(&buf); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		return src, buf.Bytes()
+	}
+	_, kind1 := source()
+	kind2 := patchByte(kind1, 4, snapKindConcurrent)
+	var env bytes.Buffer
+	if _, err := WriteSnapshot(&env, rawContainer(kind2)); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	for name, read := range map[string]func() (Summarizer, error){
+		"ReadSummarizer": func() (Summarizer, error) { return ReadSummarizer(bytes.NewReader(kind2)) },
+		"ReadSnapshot":   func() (Summarizer, error) { return ReadSnapshot(bytes.NewReader(env.Bytes())) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			src, _ := source()
+			got, err := read()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sh, ok := got.(*Sharded)
+			if !ok || sh.Shards() != 1 {
+				t.Fatalf("restored a %T, want a one-shard *Sharded", got)
+			}
+			summarizersEqual(t, src, sh, persistProbes())
+			var out bytes.Buffer
+			if _, err := sh.WriteTo(&out); err != nil {
+				t.Fatalf("WriteTo: %v", err)
+			}
+			if !bytes.Equal(out.Bytes()[5+16:], kind1[5:]) {
+				t.Errorf("tracker section differs from the source's")
+			}
+
+			// Ingest counters restart at zero on restore, so Stats must
+			// match a kind-1 restore of the same section, before and after
+			// both see the same continuation as the source.
+			ref, err := ReadTopK(bytes.NewReader(kind1))
+			if err != nil {
+				t.Fatalf("ReadTopK: %v", err)
+			}
+			if sh.Stats() != ref.Stats() {
+				t.Fatalf("Stats %+v, kind-1 restore has %+v", sh.Stats(), ref.Stats())
+			}
+			for _, s := range []Summarizer{src, sh, ref} {
+				ingestZipfish(s, 500, 5000)
+			}
+			if sh.Stats() != ref.Stats() {
+				t.Fatalf("Stats %+v, kind-1 restore has %+v", sh.Stats(), ref.Stats())
+			}
+			summarizersEqual(t, src, sh, persistProbes())
+
+			fresh := MustNew(10, append(opts, WithConcurrency())...)
+			if err := fresh.Merge(sh); err != nil {
+				t.Errorf("WithConcurrency().Merge(restored): %v", err)
+			}
+			if err := sh.Merge(fresh); err != nil {
+				t.Errorf("restored.Merge(WithConcurrency()): %v", err)
+			}
+		})
+	}
 }
 
 func TestSnapshotRestoredMetadata(t *testing.T) {
@@ -205,6 +287,25 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 	mixedSeeds = append(mixedSeeds, raw[5:]...)
 	mixedSeeds = append(mixedSeeds, otherBuf.Bytes()[5:]...)
 
+	// Two-shard containers whose second section has the seed of the first
+	// but another discipline or width: newShardedFromConfig never builds
+	// such a shape.
+	spliced := func(opts ...Option) []byte {
+		o := MustNew(10, append([]Option{WithSeed(1)}, opts...)...).(*TopK)
+		ingestZipfish(o, 100, 4000)
+		var ob bytes.Buffer
+		if _, err := o.WriteTo(&ob); err != nil {
+			t.Fatalf("WriteTo: %v", err)
+		}
+		out := append([]byte(nil), raw[:4]...)
+		out = append(out, 3) // kind: Sharded
+		out = binary.LittleEndian.AppendUint32(out, 2)
+		out = binary.LittleEndian.AppendUint64(out, 7)
+		out = binary.LittleEndian.AppendUint32(out, 10)
+		out = append(out, raw[5:]...)
+		return append(out, ob.Bytes()[5:]...)
+	}
+
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -235,6 +336,8 @@ func TestSnapshotCorruptInputs(t *testing.T) {
 			return out
 		}()},
 		{"shard key seeds differ", mixedSeeds},
+		{"shard versions differ", spliced(WithVersion(VersionMinimum))},
+		{"shard widths differ", spliced(WithWidth(301))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ReadSummarizer(bytes.NewReader(tc.data)); !errors.Is(err, ErrCorrupt) {

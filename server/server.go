@@ -11,8 +11,8 @@
 // aliasing the connection's reusable frame buffer — the ingest loop
 // allocates only when a new flow is admitted), and queries are answered
 // from the live structure without stopping ingest. The Summarizer must
-// therefore be safe for concurrent use: a Concurrent, Sharded or Window
-// frontend, not a bare TopK.
+// therefore be safe for concurrent use: a Sharded (one shard under
+// WithConcurrency) or Window frontend, not a bare TopK.
 //
 // # Overload resilience
 //
@@ -66,7 +66,7 @@ import (
 // every limit field selects a production-safe default; see each field.
 type Config struct {
 	// Summarizer receives every decoded arrival. It must be safe for
-	// concurrent use (Concurrent, Sharded, Window). Required.
+	// concurrent use (Sharded, Window). Required.
 	Summarizer heavykeeper.Summarizer
 	// TCPAddr is the stream-ingest listen address (e.g. ":4774" or
 	// "127.0.0.1:0" for an ephemeral port).

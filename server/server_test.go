@@ -35,7 +35,7 @@ func testKeys(n int) [][]byte {
 	return keys
 }
 
-// startTestServer builds a Concurrent-backed server on ephemeral
+// startTestServer builds a WithConcurrency-backed server on ephemeral
 // loopback ports and returns it with a same-configuration twin for
 // equivalence checks.
 func startTestServer(t *testing.T, opts ...func(*Config)) (*Server, heavykeeper.Summarizer) {
@@ -267,7 +267,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	getJSON(t, srv.HTTPAddr(), "/indexstats", &ix)
 	if !ix.Available || ix.Stats == nil || ix.Stats.TableSize == 0 {
-		t.Errorf("/indexstats not surfaced for Concurrent: %+v", ix)
+		t.Errorf("/indexstats not surfaced for WithConcurrency: %+v", ix)
 	}
 
 	var cfg map[string]string

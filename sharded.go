@@ -1,16 +1,17 @@
 package heavykeeper
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"iter"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/hash"
-	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
 
@@ -23,8 +24,8 @@ const shardSeedSalt = 0x9e3779b97f4a7c15
 // HeavyKeeper over its slice of the traffic — the software analogue of the
 // paper's Hardware Parallel version (§III-E), whose point is that per-array
 // work is independent and parallelizable. Each shard has its own mutex, so
-// writers to different shards never serialize the way they do on
-// Concurrent's single lock.
+// writers to different shards never serialize. One shard (WithConcurrency,
+// or Synchronized around a TopK) is one TopK behind one mutex.
 //
 // With more than one shard, AddBatch is shard-affine. The caller routes each
 // key once, copies each shard's share of the batch into a recycled chunk,
@@ -127,7 +128,30 @@ func newShardedFromConfig(k int, cfg config) (*Sharded, error) {
 		}
 		tops[i] = t
 	}
-	return newSharded(k, xrand.NewSplitMix64(cfg.seed^shardSeedSalt).Next(), tops), nil
+	return newSharded(k, shardSeedFor(cfg.seed), tops), nil
+}
+
+// shardSeedFor derives the router's seed from the WithSeed value.
+func shardSeedFor(seed uint64) uint64 {
+	return xrand.NewSplitMix64(seed ^ shardSeedSalt).Next()
+}
+
+// Synchronized returns a concurrency-safe view of s: a bare *TopK becomes
+// a one-shard *Sharded that shares its state, exactly what
+// New(k, WithConcurrency()) builds; every other frontend is already safe
+// for concurrent use and is returned unchanged. Servers use it to accept
+// any Summarizer — a ReadSummarizer-restored *TopK included — without a
+// data race.
+func Synchronized(s Summarizer) Summarizer {
+	if t, ok := s.(*TopK); ok {
+		return oneShard(t)
+	}
+	return s
+}
+
+// oneShard wraps t as a one-shard Sharded under t's seed.
+func oneShard(t *TopK) *Sharded {
+	return newSharded(t.k, shardSeedFor(t.seed), []*TopK{t})
 }
 
 // newSharded assembles a Sharded over tops, with an inbox per shard when
@@ -246,7 +270,7 @@ func (sh *shard) send(c *chunk) {
 // from bucket placement) — one pass over the key bytes covers both routing
 // and sketching.
 func (s *Sharded) shardFor(flowID []byte) (*shard, uint64) {
-	h := s.shards[0].t.keyHash(flowID)
+	h := s.shards[0].t.eng.KeyHash(flowID)
 	return &s.shards[hash.Reduce(hash.Mix(s.shardSeed, h), uint64(len(s.shards)))], h
 }
 
@@ -254,7 +278,7 @@ func (s *Sharded) shardFor(flowID []byte) (*shard, uint64) {
 func (s *Sharded) Add(flowID []byte) {
 	sh, h := s.shardFor(flowID)
 	sh.lock()
-	sh.t.addHashed(flowID, h)
+	sh.t.eng.InsertHashed(flowID, h)
 	sh.mu.Unlock()
 }
 
@@ -265,7 +289,7 @@ func (s *Sharded) AddString(flowID string) { s.Add(bytesOf(flowID)) }
 func (s *Sharded) AddN(flowID []byte, n uint64) {
 	sh, h := s.shardFor(flowID)
 	sh.lock()
-	sh.t.addNHashed(flowID, h, n)
+	sh.t.eng.InsertNHashed(flowID, h, n)
 	sh.mu.Unlock()
 }
 
@@ -290,7 +314,7 @@ func (s *Sharded) AddBatch(flowIDs [][]byte) {
 	if !ok {
 		p = &pendingChunks{c: make([]*chunk, n)}
 	}
-	keyHash := s.shards[0].t.keyHash
+	keyHash := s.shards[0].t.eng.KeyHash
 	for _, id := range flowIDs {
 		h := keyHash(id)
 		j := hash.Reduce(hash.Mix(s.shardSeed, h), uint64(n))
@@ -319,38 +343,38 @@ func (s *Sharded) Query(flowID []byte) uint64 {
 	sh, h := s.shardFor(flowID)
 	sh.lock()
 	defer sh.mu.Unlock()
-	return sh.t.queryHashed(flowID, h)
+	return sh.t.eng.QueryHashed(flowID, h)
 }
 
 // List returns the current global top-k in descending estimated size,
 // merging the per-shard summaries (each flow is reported by exactly one
 // shard, so candidate counts combine without double-counting). Shard locks
 // are taken one at a time; under concurrent ingest the result is a slightly
-// time-smeared snapshot, like Concurrent.List taken during writes.
+// time-smeared snapshot. One shard reports its own List, ties in its own
+// order.
 func (s *Sharded) List() []Flow {
-	var all []metrics.Entry
+	if len(s.shards) == 1 {
+		sh := &s.shards[0]
+		sh.lock()
+		defer sh.mu.Unlock()
+		return sh.t.List()
+	}
+	var all []Flow
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.lock()
-		all = append(all, sh.t.topEntries()...)
+		all = append(all, sh.t.List()...)
 		sh.mu.Unlock()
 	}
 	// Shards are disjoint, so no candidate appears twice: sort the union
-	// (count descending, key ascending for determinism) and keep k.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
+	// (count descending, ID ascending for determinism) and keep k.
+	slices.SortFunc(all, func(a, b Flow) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
 		}
-		return all[i].Key < all[j].Key
+		return bytes.Compare(a.ID, b.ID)
 	})
-	if len(all) > s.k {
-		all = all[:s.k]
-	}
-	out := make([]Flow, len(all))
-	for i, e := range all {
-		out[i] = Flow{ID: []byte(e.Key), Count: e.Count}
-	}
-	return out
+	return all[:min(len(all), s.k)]
 }
 
 // Merge folds other into s, shard by shard, reusing the bucket-level merge

@@ -13,13 +13,13 @@ import (
 type Stats = core.Stats
 
 // Summarizer is the one public contract of this package: a top-k flow
-// summarizer over a packet (or item) stream. All three frontends implement
-// it — TopK (single-goroutine), Concurrent (mutex-guarded) and Sharded
-// (per-core shards) — over any registered algorithm, so deployment shape
-// and algorithm choice are orthogonal:
+// summarizer over a packet (or item) stream. Both frontends implement it —
+// TopK (single-goroutine) and Sharded (per-core shards, one mutex each) —
+// over any registered algorithm, so deployment shape and algorithm choice
+// are orthogonal:
 //
 //	s, err := heavykeeper.New(100)                            // *TopK
-//	s, err := heavykeeper.New(100, heavykeeper.WithConcurrency()) // *Concurrent
+//	s, err := heavykeeper.New(100, heavykeeper.WithConcurrency()) // *Sharded, one shard
 //	s, err := heavykeeper.New(100, heavykeeper.WithShards(8))     // *Sharded
 //	s, err := heavykeeper.New(100, heavykeeper.WithAlgorithm("spacesaving"))
 type Summarizer interface {
@@ -42,9 +42,7 @@ type Summarizer interface {
 	// List returns the current top-k flows in descending estimated size.
 	List() []Flow
 	// All returns an iterator over the current top-k flows in descending
-	// estimated size. On TopK it streams straight off the store without
-	// materializing a slice (do not mutate the summarizer mid-iteration);
-	// Concurrent and Sharded iterate a locked snapshot, so ingest may
+	// estimated size. It iterates a snapshot of List, so ingest may
 	// continue while the caller consumes it.
 	All() iter.Seq[Flow]
 	// Merge folds other into the receiver (the paper's footnote-2 collector
@@ -61,45 +59,34 @@ type Summarizer interface {
 }
 
 // StoreIndexReporter is optionally implemented by frontends whose top-k
-// store surfaces open-addressed index statistics (TopK, Concurrent and
-// Sharded on HeavyKeeper); hkbench type-asserts it to report index
-// pressure.
+// store surfaces open-addressed index statistics (TopK and Sharded on
+// HeavyKeeper); hkbench type-asserts it to report index pressure.
 type StoreIndexReporter interface {
 	StoreIndexStats() (StoreIndexStats, bool)
 }
 
-// Compile-time checks: the three frontends satisfy the one interface.
+// Compile-time checks: the frontends satisfy the one interface.
 var (
 	_ Summarizer = (*TopK)(nil)
-	_ Summarizer = (*Concurrent)(nil)
 	_ Summarizer = (*Sharded)(nil)
 
 	_ StoreIndexReporter = (*TopK)(nil)
-	_ StoreIndexReporter = (*Concurrent)(nil)
 	_ StoreIndexReporter = (*Sharded)(nil)
 )
 
 // New returns the Summarizer the options describe: a plain *TopK by
-// default, a *Concurrent under WithConcurrency, a *Sharded under
-// WithShards, over the algorithm selected by WithAlgorithm (HeavyKeeper by
-// default). It is the single construction entry point.
+// default, a *Sharded under WithShards (one shard under WithConcurrency),
+// over the algorithm selected by WithAlgorithm (HeavyKeeper by default). It
+// is the single construction entry point.
 func New(k int, opts ...Option) (Summarizer, error) {
 	cfg, err := parseConfig(k, opts)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case cfg.shards != 0:
+	if cfg.shards != 0 {
 		return newShardedFromConfig(k, cfg)
-	case cfg.concurrent:
-		t, err := newTopK(k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Concurrent{t: t}, nil
-	default:
-		return newTopK(k, cfg)
 	}
+	return newTopK(k, cfg)
 }
 
 // MustNew is New that panics on error, for tests and examples.

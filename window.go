@@ -27,11 +27,12 @@ import (
 // (between windowSize/2 and windowSize items) is the structure's
 // contract.
 //
-// A Window is safe for concurrent use (one mutex, like Concurrent) and
-// implements Summarizer, so servers accept it interchangeably with the
-// unwindowed frontends. Merge is unsupported: panes rotate independently
-// on each side, so no meaningful fold exists; snapshotting is likewise
-// not offered (a window's contents expire within one windowSize anyway).
+// A Window is safe for concurrent use (one mutex, like a one-shard
+// Sharded) and implements Summarizer, so servers accept it interchangeably
+// with the unwindowed frontends. Merge is unsupported: panes rotate
+// independently on each side, so no meaningful fold exists; snapshotting
+// is likewise not offered (a window's contents expire within one
+// windowSize anyway).
 type Window struct {
 	mu sync.Mutex
 	w  *window.TopK
@@ -58,7 +59,6 @@ func NewWindow(k, windowSize int, opts ...Option) (*Window, error) {
 	if windowSize < 2 {
 		return nil, fmt.Errorf("%w: window size %d, must be >= 2", ErrInvalidWindow, windowSize)
 	}
-	applyVersionedAlgorithm(&cfg)
 	w, err := window.New(k, windowSize, trackerOptions(k, cfg))
 	if err != nil {
 		return nil, err

@@ -34,28 +34,48 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=Ingest -benchtime=10x .
 
-# bench-compare runs the smoke benchmarks against a baseline git ref (BASE,
-# default HEAD) in a temporary worktree and diffs the results: benchstat when
-# it is installed, a side-by-side dump otherwise. Usage:
-#   make bench-compare                 # working tree vs HEAD
-#   make bench-compare BASE=HEAD~1     # working tree vs previous commit
-# COUNT controls benchmark repetitions (benchstat wants >= 5 for statistics).
+# bench-compare times benchmarks of a baseline git ref (BASE, default HEAD)
+# against the working tree. BASE is exported with git archive and each side's
+# test binary is built once with -trimpath (identical sources give
+# byte-identical binaries, so a null comparison measures only noise). Then,
+# COUNT times, every benchmark runs for 1s on both sides back to back in
+# fresh processes, the side that goes first alternating, so drift on the
+# host (thermal, neighbours) lands on both sides alike. It prints benchstat
+# when installed, else the median ns/op per benchmark and side with the
+# change. Usage:
+#   make bench-compare                          # working tree vs HEAD, Ingest benchmarks
+#   make bench-compare BASE=HEAD~1 COUNT=10     # vs the previous commit
+#   make bench-compare BENCH=ShardedList        # any -bench pattern both sides define
 BASE ?= HEAD
 COUNT ?= 5
+BENCH ?= Ingest
 bench-compare:
-	@set -e; tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1 || true; rm -rf "$$tmp"' EXIT; \
-	git worktree add -q "$$tmp/base" $(BASE); \
-	echo "benchmarking $(BASE) ..."; \
-	( cd "$$tmp/base" && $(GO) test -run=NONE -bench=Ingest -benchtime=10x -count=$(COUNT) . ) > "$$tmp/old.txt"; \
-	echo "benchmarking working tree ..."; \
-	$(GO) test -run=NONE -bench=Ingest -benchtime=10x -count=$(COUNT) . > "$$tmp/new.txt"; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	echo "building $(BASE) and the working tree ..."; \
+	( cd "$$tmp/base" && $(GO) test -trimpath -c -o "$$tmp/old.test" . ); \
+	$(GO) test -trimpath -c -o "$$tmp/new.test" .; \
+	names=$$("$$tmp/new.test" -test.run='^$$' -test.bench='$(BENCH)' -test.benchtime=1x | \
+		awk '/^Benchmark/ { sub(/-[0-9]+$$/, "", $$1); print $$1 }'); \
+	run() { ( cd "$$1" && "$$tmp/$$2.test" -test.run='^$$' -test.bench="$$3" -test.benchtime=1s ) | grep '^Benchmark' >> "$$tmp/$$2.txt" || true; }; \
+	for i in $$(seq 1 $(COUNT)); do \
+		echo "round $$i/$(COUNT)"; \
+		for name in $$names; do \
+			pat="^$$(printf '%s' "$$name" | sed 's|/|$$/^|g')$$"; \
+			if [ $$((i % 2)) -eq 1 ]; then run "$$tmp/base" old "$$pat"; run . new "$$pat"; \
+			else run . new "$$pat"; run "$$tmp/base" old "$$pat"; fi; \
+		done; \
+	done; \
 	if command -v benchstat >/dev/null 2>&1; then \
 		benchstat "$$tmp/old.txt" "$$tmp/new.txt"; \
 	else \
-		echo "benchstat not installed; raw results"; \
-		echo "== $(BASE) =="; grep ^Benchmark "$$tmp/old.txt"; \
-		echo "== working tree =="; grep ^Benchmark "$$tmp/new.txt"; \
+		med() { awk '{print $$1, $$3}' "$$1" | LC_ALL=C sort -k1,1 -k2,2g | awk ' \
+			function flush() { if (n) print name, (n % 2 ? v[(n+1)/2] : (v[n/2] + v[n/2+1]) / 2) } \
+			$$1 != name { flush(); name = $$1; n = 0 } { v[++n] = $$2 } END { flush() }'; }; \
+		touch "$$tmp/old.txt" "$$tmp/new.txt"; \
+		med "$$tmp/old.txt" > "$$tmp/old.med"; med "$$tmp/new.txt" > "$$tmp/new.med"; \
+		printf '%-60s %12s %12s %8s\n' "median ns/op over $(COUNT) rounds" "$(BASE)" "tree" "delta"; \
+		LC_ALL=C join "$$tmp/old.med" "$$tmp/new.med" | awk '{ printf "%-60s %12.1f %12.1f %+7.1f%%\n", $$1, $$2, $$3, 100 * ($$3 - $$2) / $$2 }'; \
 	fi
 
 # bench-ab compares BASE with the working tree on one workload of the

@@ -353,3 +353,26 @@ func BenchmarkInsertPerPacket(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkShardedList times the global report of a Sharded whose shards
+// each hold a full k = 100 store: every shard's List plus the fold of the
+// shard lists into the top 100. hkagg's collect of a sharded hkd member
+// pays this once per collect.
+//
+// Run with: go test -run - -bench ShardedList -benchtime 1s .
+func BenchmarkShardedList(b *testing.B) {
+	for _, s := range []int{2, 4} {
+		b.Run(fmt.Sprintf("s=%d/k=100", s), func(b *testing.B) {
+			sh := heavykeeper.MustNew(100, heavykeeper.WithShards(s))
+			sh.AddBatch(sharedIngestKeys())
+			if n := len(sh.List()); n != 100 {
+				b.Fatalf("List holds %d flows, want 100", n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh.List()
+			}
+		})
+	}
+}

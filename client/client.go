@@ -488,7 +488,7 @@ type SnapshotPoll struct {
 	// and Report are then empty.
 	Unchanged bool
 	// Generation is the answer's state token: pass it as After to wait
-	// for the next change. Daemons that predate long-polls send none.
+	// for the next change.
 	Generation string
 	// Seq is the on-disk generation served ("" for live state).
 	Seq string
@@ -498,8 +498,7 @@ type SnapshotPoll struct {
 	// Data is the raw body: a snapshot envelope, or a report frame.
 	Data []byte
 	// Report is the decoded, CRC-checked report frame when one was asked
-	// for and served. A daemon that predates reports (no Generation)
-	// answers a Report request with a snapshot envelope in Data instead.
+	// for.
 	Report *wire.Report
 }
 
@@ -542,7 +541,7 @@ func (c *Client) PollSnapshot(ctx context.Context, req SnapshotRequest) (*Snapsh
 	if p.Data, err = io.ReadAll(resp.Body); err != nil {
 		return nil, err
 	}
-	if req.Report && p.Generation != "" {
+	if req.Report {
 		r, err := wire.DecodeReport(p.Data)
 		if err != nil {
 			return nil, fmt.Errorf("client: report from %s: %w", c.base, err)

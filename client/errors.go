@@ -50,10 +50,14 @@ type APIError struct {
 }
 
 func (e *APIError) Error() string {
-	if e.Message != "" {
-		return fmt.Sprintf("client: %s (http %d)", e.Message, e.StatusCode)
+	status := fmt.Sprintf("http %d", e.StatusCode)
+	if e.Code != "" {
+		status += " " + e.Code
 	}
-	return fmt.Sprintf("client: http %d", e.StatusCode)
+	if e.Message != "" {
+		return fmt.Sprintf("client: %s (%s)", e.Message, status)
+	}
+	return "client: " + status
 }
 
 // Is maps the error onto its sentinel family, preferring the server's

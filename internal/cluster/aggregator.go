@@ -15,7 +15,6 @@ import (
 	heavykeeper "repro"
 	"repro/client"
 	"repro/internal/collector"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/xrand"
 )
@@ -88,7 +87,6 @@ type Config struct {
 	// previous collect began, so a busy member is collected at most 20
 	// times per bound and an idle one about once. Failures back off
 	// exponentially from BackoffBase to BackoffMax with ±50% jitter.
-	// Members that predate long-polls are collected once per Interval.
 	Interval time.Duration
 	// Timeout bounds one collect end to end, connect through body
 	// (default 5s) — a stalled node must not wedge its collection loop.
@@ -142,6 +140,7 @@ type node struct {
 	token       string    // member's state token for data: the next long-poll's after
 	lastFetch   time.Time // when data was last confirmed current
 	lastSeq     string    // X-Snapshot-Seq of data, "" for live serves
+	lastErr     string    // the last collect's error, "" after a success
 	collects    uint64    // successful collects, unchanged answers included
 	unchanged   uint64    // collects the member answered "unchanged"
 	bytes       uint64    // response bytes collected
@@ -153,7 +152,7 @@ type node struct {
 // its top-k report and k under Max, its sketch under Sum.
 type nodeData struct {
 	k      int
-	report []metrics.Entry
+	report []heavykeeper.Flow
 	body   []byte                 // Sum: the verified snapshot envelope
 	sketch heavykeeper.Summarizer // Sum: body, decoded
 }
@@ -304,11 +303,8 @@ func (a *Aggregator) collectLoop(n *node, rng *xrand.SplitMix64) {
 		}
 		poll = true
 		next := start.Add(a.spacing)
-		switch {
-		case err != nil:
+		if err != nil {
 			next = time.Now().Add(a.nextDelay(n, rng))
-		case !n.longPolls():
-			next = start.Add(a.cfg.Interval)
 		}
 		if d := time.Until(next); d > 0 {
 			select {
@@ -318,14 +314,6 @@ func (a *Aggregator) collectLoop(n *node, rng *xrand.SplitMix64) {
 			}
 		}
 	}
-}
-
-// longPolls reports whether n's member answers long-polls: it sent a
-// state token with its last state.
-func (n *node) longPolls() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.token != ""
 }
 
 // nextDelay picks the sleep before n's next fetch after a failure:
@@ -410,30 +398,25 @@ func (a *Aggregator) collectOnce(parent context.Context, n *node, poll bool) err
 	return nil
 }
 
-// decode verifies and decodes one fetched state. Under Max it keeps only
-// the top-k report, whether the member sent a report frame or (predating
-// them) a whole snapshot.
+// errNoToken fails a collect whose answer carries no state token: every
+// hkd sets X-Snapshot-Generation on its 200 and 304 answers, and the next
+// collect long-polls on it.
+var errNoToken = errors.New("member answered /snapshot without an X-Snapshot-Generation state token")
+
+// decode verifies and decodes one fetched state: the report frame the SDK
+// already checked under Max, the whole sketch under Sum.
 func (a *Aggregator) decode(p *client.SnapshotPoll) (*nodeData, error) {
+	if p.Generation == "" {
+		return nil, errNoToken
+	}
 	if p.Report != nil {
-		return reportData(p.Report.K, p.Report.Flows), nil
+		return &nodeData{k: p.Report.K, report: p.Report.Flows}, nil
 	}
 	s, err := heavykeeper.ReadSnapshot(bytes.NewReader(p.Data))
 	if err != nil {
 		return nil, fmt.Errorf("decoding snapshot: %w", err)
 	}
-	if a.cfg.Policy == collector.Max {
-		return reportData(s.K(), s.List()), nil
-	}
 	return &nodeData{body: p.Data, sketch: s}, nil
-}
-
-// reportData keeps a member's top-k in the form the Max fold consumes.
-func reportData(k int, flows []heavykeeper.Flow) *nodeData {
-	rep := make([]metrics.Entry, len(flows))
-	for i, f := range flows {
-		rep[i] = metrics.Entry{Key: string(f.ID), Count: f.Count}
-	}
-	return &nodeData{k: k, report: rep}
 }
 
 // recordFailure advances the health machine on a failed fetch.
@@ -441,6 +424,7 @@ func (a *Aggregator) recordFailure(n *node, err error) error {
 	n.mu.Lock()
 	n.failures++
 	n.consecFails++
+	n.lastErr = err.Error()
 	n.consecOKs = 0
 	prev := n.state
 	switch {
@@ -473,6 +457,7 @@ func (a *Aggregator) recordSuccess(n *node, data *nodeData, p *client.SnapshotPo
 	n.collects++
 	n.bytes += uint64(len(p.Data))
 	n.consecFails = 0
+	n.lastErr = ""
 	n.consecOKs++
 	n.lastFetch = time.Now()
 	if data == nil {
@@ -516,6 +501,7 @@ type NodeStatus struct {
 	Failures         uint64  `json:"failures"`
 	Transitions      uint64  `json:"transitions"`
 	HasData          bool    `json:"has_data"`
+	LastError        string  `json:"last_error,omitempty"` // the failing collect's error; cleared on success
 }
 
 // Status reports every member's condition plus the coverage fraction:
@@ -538,6 +524,7 @@ func (a *Aggregator) Status() (nodes []NodeStatus, coverage float64) {
 			Failures:         n.failures,
 			Transitions:      n.transitions,
 			HasData:          n.data != nil,
+			LastError:        n.lastErr,
 		}
 		if !n.lastFetch.IsZero() {
 			st.StalenessSeconds = now.Sub(n.lastFetch).Seconds()
@@ -588,7 +575,7 @@ func (a *Aggregator) refold() ([]heavykeeper.Flow, error) {
 		return nil, nil
 	}
 	if a.cfg.Policy == collector.Max {
-		return foldMax(data)
+		return foldMax(data), nil
 	}
 	return foldSum(data)
 }
@@ -598,22 +585,14 @@ func (a *Aggregator) refold() ([]heavykeeper.Flow, error) {
 // per-flow maximum reconstructs the true count. Exact whenever at least
 // one replica per flow survives, which is precisely the ring's guarantee
 // under single-node loss.
-func foldMax(data []*nodeData) ([]heavykeeper.Flow, error) {
+func foldMax(data []*nodeData) []heavykeeper.Flow {
 	k := 0
-	reports := make([][]metrics.Entry, len(data))
+	reports := make([][]heavykeeper.Flow, len(data))
 	for i, d := range data {
 		k = max(k, d.k)
 		reports[i] = d.report
 	}
-	merged, err := collector.MergeReports(k, collector.Max, reports...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]heavykeeper.Flow, len(merged))
-	for i, e := range merged {
-		out[i] = heavykeeper.Flow{ID: []byte(e.Key), Count: e.Count}
-	}
-	return out, nil
+	return heavykeeper.FoldFlows(k, true, reports...)
 }
 
 // foldSum folds partition sketches bucket by bucket via the public Merge

@@ -27,6 +27,18 @@ func newNodeSummarizer() heavykeeper.Summarizer {
 		heavykeeper.WithSeed(42), heavykeeper.WithMemory(32<<10))
 }
 
+// serveReport answers a collect the way hkd does under max: sum's top-k as
+// a report frame, with the X-Snapshot-Generation state token.
+func serveReport(w http.ResponseWriter, sum heavykeeper.Summarizer) {
+	frame, err := wire.AppendReport(nil, wire.Report{Generation: 1, K: sum.K(), Flows: sum.List()})
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("X-Snapshot-Generation", "1")
+	w.Write(frame)
+}
+
 // startNode boots one hkd member on ephemeral loopback ports.
 func startNode(t *testing.T, opts ...func(*server.Config)) *server.Server {
 	t.Helper()
@@ -381,7 +393,8 @@ func TestAggregatorHTTPSurface(t *testing.T) {
 // TestAggregatorHealthMachineHysteresis walks the full state machine
 // against a fake member whose /snapshot can be switched between serving
 // and failing: healthy -> suspect -> down -> suspect -> healthy, with
-// RecoverAfter successes required before trust returns.
+// RecoverAfter successes required before trust returns, and last_error
+// set by a failure and cleared by a success.
 func TestAggregatorHealthMachineHysteresis(t *testing.T) {
 	sum := newNodeSummarizer()
 	sum.Add([]byte("flow"))
@@ -391,7 +404,7 @@ func TestAggregatorHealthMachineHysteresis(t *testing.T) {
 			http.Error(w, "injected", http.StatusInternalServerError)
 			return
 		}
-		heavykeeper.WriteSnapshot(w, sum.(heavykeeper.SnapshotWriter))
+		serveReport(w, sum)
 	}))
 	defer fake.Close()
 
@@ -427,11 +440,17 @@ func TestAggregatorHealthMachineHysteresis(t *testing.T) {
 	if state() != "down" {
 		t.Errorf("after 3 failures: %s want down", state())
 	}
+	if e := nodeStatus(a).LastError; !strings.Contains(e, "injected") {
+		t.Errorf("last_error after a failure = %q, want the injected 500", e)
+	}
 
 	fail.Store(false)
 	a.CollectNow()
 	if state() != "suspect" {
 		t.Errorf("first success from down: %s want suspect (hysteresis)", state())
+	}
+	if e := nodeStatus(a).LastError; e != "" {
+		t.Errorf("last_error after a success = %q, want it cleared", e)
 	}
 	a.CollectNow()
 	if state() != "healthy" {
@@ -444,7 +463,7 @@ func TestAggregatorHealthMachineHysteresis(t *testing.T) {
 
 // TestAggregatorRejectsCorruptSnapshot: a member serving bytes that fail
 // CRC verification is a collection failure, and the previous last-good
-// snapshot survives.
+// report survives.
 func TestAggregatorRejectsCorruptSnapshot(t *testing.T) {
 	sum := newNodeSummarizer()
 	for i := 0; i < 50; i++ {
@@ -453,10 +472,11 @@ func TestAggregatorRejectsCorruptSnapshot(t *testing.T) {
 	var corrupt atomic.Bool
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if corrupt.Load() {
-			w.Write([]byte("HKC1 this is not a valid envelope"))
+			w.Header().Set("X-Snapshot-Generation", "2")
+			w.Write([]byte("HKR1 this is not a valid report frame"))
 			return
 		}
-		heavykeeper.WriteSnapshot(w, sum.(heavykeeper.SnapshotWriter))
+		serveReport(w, sum)
 	}))
 	defer fake.Close()
 

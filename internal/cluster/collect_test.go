@@ -7,25 +7,28 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	heavykeeper "repro"
 	"repro/client"
 	"repro/internal/collector"
-	"repro/internal/metrics"
 	"repro/server"
+	"repro/wire"
 )
 
 // foldSnapshotsOracle is the collection path reports replaced: fetch each
 // member's whole snapshot, verify and decode it, and fold the decoded
 // summarizers' List() with the Max policy. Windowed members have no
 // snapshot format, so for them (viaTopK) the oracle folds /topk instead,
-// the same List() in JSON.
+// the same List() in JSON. The fold is written out here (a map of maxima,
+// sorted by count descending then ID ascending, cut at k) so the oracle
+// does not share code with the aggregator's.
 func foldSnapshotsOracle(t *testing.T, apis []*client.Client, viaTopK bool) []heavykeeper.Flow {
 	t.Helper()
 	k := 0
-	var reports [][]metrics.Entry
+	maxima := map[string]uint64{}
 	for _, api := range apis {
 		var flows []heavykeeper.Flow
 		if viaTopK {
@@ -49,21 +52,24 @@ func foldSnapshotsOracle(t *testing.T, apis []*client.Client, viaTopK bool) []he
 			k = max(k, s.K())
 			flows = s.List()
 		}
-		var rep []metrics.Entry
 		for _, f := range flows {
-			rep = append(rep, metrics.Entry{Key: string(f.ID), Count: f.Count})
+			maxima[string(f.ID)] = max(maxima[string(f.ID)], f.Count)
 		}
-		reports = append(reports, rep)
 	}
-	merged, err := collector.MergeReports(k, collector.Max, reports...)
-	if err != nil {
-		t.Fatal(err)
+	var out []heavykeeper.Flow
+	for id, c := range maxima {
+		out = append(out, heavykeeper.Flow{ID: []byte(id), Count: c})
 	}
-	out := make([]heavykeeper.Flow, len(merged))
-	for i, e := range merged {
-		out[i] = heavykeeper.Flow{ID: []byte(e.Key), Count: e.Count}
-	}
-	return out
+	slices.SortFunc(out, func(a, b heavykeeper.Flow) int {
+		if a.Count != b.Count {
+			if a.Count > b.Count {
+				return -1
+			}
+			return 1
+		}
+		return bytes.Compare(a.ID, b.ID)
+	})
+	return out[:min(len(out), k)]
 }
 
 // TestReportFoldMatchesSnapshotOracle: the Max fold over report frames
@@ -267,29 +273,67 @@ func TestSumFoldIsRepeatable(t *testing.T) {
 	}
 }
 
-// TestCollectLegacyMemberCadence: a member that predates long-polls
-// (no state token, a whole snapshot for every request) is collected once
-// per interval, not at the minimum spacing.
-func TestCollectLegacyMemberCadence(t *testing.T) {
+// TestCollectTokenlessMemberFails: a member whose answer carries no
+// X-Snapshot-Generation state token cannot be long-polled, so its collect
+// fails, the node goes suspect, and /stats names the missing token.
+func TestCollectTokenlessMemberFails(t *testing.T) {
 	sum := newNodeSummarizer()
 	sum.Add([]byte("flow"))
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		heavykeeper.WriteSnapshot(w, sum.(heavykeeper.SnapshotWriter))
+		frame, err := wire.AppendReport(nil, wire.Report{K: sum.K(), Flows: sum.List()})
+		if err != nil {
+			t.Error(err)
+		}
+		w.Write(frame)
 	}))
 	defer fake.Close()
-	a, err := New(Config{Nodes: []string{fake.URL}, Policy: collector.Max, Interval: 200 * time.Millisecond})
+	a, err := New(Config{Nodes: []string{fake.URL}, Policy: collector.Max})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Start()
-	time.Sleep(time.Second)
-	a.Stop()
-	if n := nodeStatus(a).Collects; n < 2 || n > 7 {
-		t.Errorf("%d collects in 1s at a 200ms interval", n)
+	a.CollectNow()
+	front := httptest.NewServer(a.Handler())
+	defer front.Close()
+	var doc statsResponse
+	getTestJSON(t, front.URL+"/stats", &doc)
+	st := doc.Nodes[0]
+	if st.State != "suspect" || st.Failures != 1 || st.HasData {
+		t.Errorf("tokenless member: %+v, want a failed collect and suspect", st)
 	}
-	flows, err := a.GlobalTopK()
-	if err != nil || len(flows) != 1 || flows[0].Count != 1 {
-		t.Errorf("legacy member's snapshot folded to %v, %v", flows, err)
+	if !strings.Contains(st.LastError, "X-Snapshot-Generation") {
+		t.Errorf("last_error %q does not name the missing state token", st.LastError)
+	}
+	if flows, err := a.GlobalTopK(); err != nil || len(flows) != 0 {
+		t.Errorf("tokenless member folded to %v, %v", flows, err)
+	}
+}
+
+// TestSumFoldNamesWindowMembers: a windowed (-epoch) member has no
+// snapshot format, so under sum it answers 501 not_implemented. Each
+// node's last_error says so, where coverage 0 and an empty list alone
+// would not.
+func TestSumFoldNamesWindowMembers(t *testing.T) {
+	var nodes []*server.Server
+	for i := 0; i < 2; i++ {
+		nodes = append(nodes, startNode(t, func(c *server.Config) {
+			c.Summarizer = heavykeeper.MustNewWindow(20, 1000, heavykeeper.WithSeed(42))
+		}))
+		sendKeys(t, nodes[i].TCPAddr(), [][]byte{[]byte("flow")})
+		waitIngested(t, nodes[i], 1)
+	}
+	a, err := New(Config{Nodes: nodeURLs(nodes), Policy: collector.Sum, Live: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.CollectNow()
+	st, coverage := a.Status()
+	if coverage != 0 {
+		t.Errorf("coverage = %v, want 0", coverage)
+	}
+	for _, n := range st {
+		if n.State != "suspect" || !strings.Contains(n.LastError, "501") || !strings.Contains(n.LastError, "not_implemented") {
+			t.Errorf("node %s: state %s, last_error %q; want suspect and the 501 not_implemented answer", n.Name, n.State, n.LastError)
+		}
 	}
 }
 

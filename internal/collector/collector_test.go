@@ -1,106 +1,20 @@
 package collector
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
+	heavykeeper "repro"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/topk"
 	"repro/internal/xrand"
 )
 
-func TestMergeReportsValidation(t *testing.T) {
-	if _, err := MergeReports(0, Sum); !errors.Is(err, ErrInvalidK) {
-		t.Errorf("k=0: err = %v want ErrInvalidK", err)
-	}
-	if _, err := MergeReports(5, Policy(9)); !errors.Is(err, ErrInvalidPolicy) {
-		t.Errorf("bad policy: err = %v want ErrInvalidPolicy", err)
-	}
-}
-
-func TestMergeReportsSum(t *testing.T) {
-	a := []metrics.Entry{{Key: "f1", Count: 100}, {Key: "f2", Count: 50}}
-	b := []metrics.Entry{{Key: "f1", Count: 30}, {Key: "f3", Count: 90}}
-	got, err := MergeReports(2, Sum, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []metrics.Entry{{Key: "f1", Count: 130}, {Key: "f3", Count: 90}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("got %v want %v", got, want)
-	}
-}
-
-func TestMergeReportsMax(t *testing.T) {
-	a := []metrics.Entry{{Key: "f1", Count: 100}}
-	b := []metrics.Entry{{Key: "f1", Count: 70}, {Key: "f2", Count: 80}}
-	got, err := MergeReports(5, Max, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Key != "f1" || got[0].Count != 100 {
-		t.Errorf("Max policy produced %v", got[0])
-	}
-	if got[1].Key != "f2" || got[1].Count != 80 {
-		t.Errorf("second entry %v", got[1])
-	}
-}
-
-// TestMergeReportsEmptyReports: members with nothing to report (a fresh or
-// idle hkd) contribute nil or empty reports, which fold to nothing.
-func TestMergeReportsEmptyReports(t *testing.T) {
-	top, err := MergeReports(3, Sum, nil, []metrics.Entry{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 0 {
-		t.Errorf("empty reports produced %v", top)
-	}
-	if top, err = MergeReports(3, Max); err != nil || len(top) != 0 {
-		t.Errorf("no reports: top=%v err=%v", top, err)
-	}
-}
-
-func TestMergeReportsMaxTies(t *testing.T) {
-	// Equal combined counts break by ascending key, regardless of report
-	// arrival order, so the global report is deterministic.
-	a := []metrics.Entry{{Key: "zz", Count: 10}, {Key: "mm", Count: 10}}
-	b := []metrics.Entry{{Key: "aa", Count: 10}, {Key: "zz", Count: 7}}
-	for _, order := range [][][]metrics.Entry{{a, b}, {b, a}} {
-		got, err := MergeReports(2, Max, order...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 2 || got[0].Key != "aa" || got[1].Key != "mm" {
-			t.Errorf("tie-break order %v", got)
-		}
-		for _, e := range got {
-			if e.Count != 10 {
-				t.Errorf("Max tie entry %v want count 10", e)
-			}
-		}
-	}
-}
-
-// TestReportMutationIsolation: the global report shares no memory with the
-// inputs, so a caller may reuse its report buffers after the fold.
-func TestReportMutationIsolation(t *testing.T) {
-	rep := []metrics.Entry{{Key: "a", Count: 1}}
-	top, err := MergeReports(2, Sum, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep[0].Count = 999
-	if top[0].Count != 1 {
-		t.Error("MergeReports aliased the caller's slice")
-	}
-}
-
 // TestDistributedTopK runs the full pattern: traffic split across three
-// simulated switches, each with its own HeavyKeeper, reports merged with
-// Sum. The global top-k must match the whole-stream ground truth.
+// simulated switches, each with its own HeavyKeeper, reports folded by
+// sum (heavykeeper.FoldFlows). The global top-k must match the
+// whole-stream ground truth.
 func TestDistributedTopK(t *testing.T) {
 	const k = 20
 	const switches = 3
@@ -119,15 +33,15 @@ func TestDistributedTopK(t *testing.T) {
 		// Flows are pinned to switches by hash — disjoint traffic.
 		trackers[f%switches].Insert([]byte(key))
 	}
-	reports := make([][]metrics.Entry, len(trackers))
+	reports := make([][]heavykeeper.Flow, len(trackers))
 	for i, tr := range trackers {
 		for _, e := range tr.Top() {
-			reports[i] = append(reports[i], metrics.Entry{Key: e.Key, Count: e.Count})
+			reports[i] = append(reports[i], heavykeeper.Flow{ID: []byte(e.Key), Count: e.Count})
 		}
 	}
-	global, err := MergeReports(k, Sum, reports...)
-	if err != nil {
-		t.Fatal(err)
+	var global []metrics.Entry
+	for _, f := range heavykeeper.FoldFlows(k, false, reports...) {
+		global = append(global, metrics.Entry{Key: string(f.ID), Count: f.Count})
 	}
 	o := metrics.FromCounts(exact)
 	if p := metrics.PrecisionAtK(global, o, k); p < 0.9 {

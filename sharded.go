@@ -1,13 +1,10 @@
 package heavykeeper
 
 import (
-	"bytes"
-	"cmp"
 	"fmt"
 	"iter"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -359,22 +356,16 @@ func (s *Sharded) List() []Flow {
 		defer sh.mu.Unlock()
 		return sh.t.List()
 	}
-	var all []Flow
+	lists := make([][]Flow, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.lock()
-		all = append(all, sh.t.List()...)
+		lists[i] = sh.t.List()
 		sh.mu.Unlock()
 	}
-	// Shards are disjoint, so no candidate appears twice: sort the union
-	// (count descending, ID ascending for determinism) and keep k.
-	slices.SortFunc(all, func(a, b Flow) int {
-		if c := cmp.Compare(b.Count, a.Count); c != 0 {
-			return c
-		}
-		return bytes.Compare(a.ID, b.ID)
-	})
-	return all[:min(len(all), s.k)]
+	// Shards are disjoint, so no ID appears in two lists and the fold only
+	// orders the union and keeps k.
+	return FoldFlows(s.k, false, lists...)
 }
 
 // Merge folds other into s, shard by shard, reusing the bucket-level merge
@@ -483,14 +474,19 @@ func (s *Sharded) Stats() Stats {
 		sh.lock()
 		st := sh.t.Stats()
 		sh.mu.Unlock()
-		total.Packets += st.Packets
-		total.Increments += st.Increments
-		total.EmptyTakes += st.EmptyTakes
-		total.DecayProbes += st.DecayProbes
-		total.Decays += st.Decays
-		total.Replacements += st.Replacements
-		total.Overflows += st.Overflows
-		total.Expansions += st.Expansions
+		addStats(&total, st)
 	}
 	return total
+}
+
+// addStats adds st's counters into total.
+func addStats(total *Stats, st Stats) {
+	total.Packets += st.Packets
+	total.Increments += st.Increments
+	total.EmptyTakes += st.EmptyTakes
+	total.DecayProbes += st.DecayProbes
+	total.Decays += st.Decays
+	total.Replacements += st.Replacements
+	total.Overflows += st.Overflows
+	total.Expansions += st.Expansions
 }

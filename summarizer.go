@@ -1,7 +1,10 @@
 package heavykeeper
 
 import (
+	"bytes"
+	"hash/maphash"
 	"iter"
+	"slices"
 	"unsafe"
 
 	"repro/internal/core"
@@ -118,3 +121,82 @@ func yieldFlows(flows []Flow) iter.Seq[Flow] {
 		}
 	}
 }
+
+// FoldFlows folds top-k lists into one top-k list of at most k flows: the
+// collector step of the paper's footnote-2 deployment, and the rule that
+// merges Sharded's shards and Window's panes. Flows with equal IDs combine
+// by sum, or by max when keepMax is set: sum for parts that saw disjoint
+// packets (shards, panes, partitioned members), max for replicas that
+// each saw every packet of a flow. The result is ordered by count
+// descending, then ID ascending, so it does not depend on the order of the
+// lists. Each list must hold an ID at most once, as every List does.
+//
+// The result is a new slice whose IDs alias the inputs' ID bytes; the
+// inputs are not modified.
+func FoldFlows(k int, keepMax bool, lists ...[]Flow) []Flow {
+	if k < 1 {
+		return nil
+	}
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	all := make([]Flow, 0, n)
+	// An open-addressed index over all (slot = position+1, 0 empty), at
+	// most half full: a map keyed by ID would cost a string per flow.
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	index := make([]int32, size)
+	mask := uint64(size - 1)
+	for _, l := range lists {
+	next:
+		for _, f := range l {
+			h := maphash.Bytes(foldSeed, f.ID) & mask
+			for ; index[h] != 0; h = (h + 1) & mask {
+				if e := &all[index[h]-1]; bytes.Equal(e.ID, f.ID) {
+					if keepMax {
+						e.Count = max(e.Count, f.Count)
+					} else {
+						e.Count += f.Count
+					}
+					continue next
+				}
+			}
+			all = append(all, f)
+			index[h] = int32(len(all))
+		}
+	}
+	// Only flows at or above the k-th largest count can make the cut, so
+	// sort just those: ordering the counts alone is far cheaper than
+	// ordering flows.
+	if len(all) > k {
+		counts := make([]uint64, len(all))
+		for i, f := range all {
+			counts[i] = f.Count
+		}
+		slices.Sort(counts)
+		least := counts[len(counts)-k]
+		top := all[:0]
+		for _, f := range all {
+			if f.Count >= least {
+				top = append(top, f)
+			}
+		}
+		all = top
+	}
+	slices.SortFunc(all, func(a, b Flow) int {
+		switch {
+		case a.Count > b.Count:
+			return -1
+		case a.Count < b.Count:
+			return 1
+		}
+		return bytes.Compare(a.ID, b.ID)
+	})
+	return all[:min(len(all), k)]
+}
+
+// foldSeed keys FoldFlows' index; the fold's result does not depend on it.
+var foldSeed = maphash.MakeSeed()

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"iter"
 	"sync"
-
-	"repro/internal/metrics"
-	"repro/internal/window"
 )
 
 // Window tracks the top-k flows of (approximately) the last windowSize
@@ -17,7 +14,8 @@ import (
 // the windowed variant of the paper's per-epoch reporting (footnote 2),
 // and the setting CSS (Ben-Basat et al., INFOCOM 2016) targets natively.
 // The hkd daemon's -epoch flag and library users share this one
-// implementation.
+// implementation. Each pane is a HeavyKeeper TopK built from the Window's
+// options, so a pane ingests exactly as New's TopK does.
 //
 // The two-pane semantics in detail: Query and List combine the live panes
 // by sum — a flow active across the pane boundary accrues its count from
@@ -25,7 +23,7 @@ import (
 // rotation rather than decaying smoothly. Reports are therefore sliding
 // approximations, not exact sliding windows; the coverage guarantee
 // (between windowSize/2 and windowSize items) is the structure's
-// contract.
+// contract. List orders flows as FoldFlows does.
 //
 // A Window is safe for concurrent use (one mutex, like a one-shard
 // Sharded) and implements Summarizer, so servers accept it interchangeably
@@ -34,8 +32,14 @@ import (
 // is likewise not offered (a window's contents expire within one
 // windowSize anyway).
 type Window struct {
-	mu sync.Mutex
-	w  *window.TopK
+	mu        sync.Mutex
+	k         int
+	cfg       config // builds each new pane
+	cur       *TopK
+	prev      *TopK // nil before the first rotation
+	pane      int   // items per pane: windowSize/2
+	seq       int   // items in cur
+	rotations uint64
 }
 
 // NewWindow returns a Window covering windowSize items with report size
@@ -59,11 +63,11 @@ func NewWindow(k, windowSize int, opts ...Option) (*Window, error) {
 	if windowSize < 2 {
 		return nil, fmt.Errorf("%w: window size %d, must be >= 2", ErrInvalidWindow, windowSize)
 	}
-	w, err := window.New(k, windowSize, trackerOptions(k, cfg))
+	cur, err := newTopK(k, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Window{w: w}, nil
+	return &Window{k: k, cfg: cfg, cur: cur, pane: windowSize / 2}, nil
 }
 
 // MustNewWindow is NewWindow that panics on error.
@@ -80,7 +84,8 @@ var _ Summarizer = (*Window)(nil)
 // Add records one occurrence of flowID, rotating panes at the boundary.
 func (w *Window) Add(flowID []byte) {
 	w.mu.Lock()
-	w.w.Add(flowID)
+	w.cur.Add(flowID)
+	w.advance(1)
 	w.mu.Unlock()
 }
 
@@ -88,19 +93,50 @@ func (w *Window) Add(flowID []byte) {
 func (w *Window) AddString(flowID string) { w.Add(bytesOf(flowID)) }
 
 // AddN records a weight-n occurrence. It advances the window by one item:
-// the panes count arrivals, not weight.
+// the panes count arrivals, not weight, so a weighted arrival ages the
+// window exactly like a unit one. A zero weight records nothing.
 func (w *Window) AddN(flowID []byte, n uint64) {
+	if n == 0 {
+		return
+	}
 	w.mu.Lock()
-	w.w.AddN(flowID, n)
+	w.cur.AddN(flowID, n)
+	w.advance(1)
 	w.mu.Unlock()
 }
 
 // AddBatch records one occurrence per identifier in stream order, taking
-// the lock once for the whole batch.
+// the lock once for the whole batch. Each rotation-free run goes down the
+// current pane's batched path, so the result is identical to a loop over
+// Add.
 func (w *Window) AddBatch(flowIDs [][]byte) {
 	w.mu.Lock()
-	w.w.AddBatch(flowIDs)
+	for len(flowIDs) > 0 {
+		run := min(len(flowIDs), w.pane-w.seq)
+		w.cur.AddBatch(flowIDs[:run])
+		flowIDs = flowIDs[run:]
+		w.advance(run)
+	}
 	w.mu.Unlock()
+}
+
+// advance counts n items into the current pane and rotates when it is full.
+func (w *Window) advance(n int) {
+	if w.seq += n; w.seq >= w.pane {
+		w.rotate()
+	}
+}
+
+// rotate retires the previous pane and opens a fresh one. Every pane is
+// built from the same options (and hence seed); panes never merge, so
+// identical seeding is harmless.
+func (w *Window) rotate() {
+	fresh, err := newTopK(w.k, w.cfg)
+	if err != nil {
+		panic(err) // NewWindow built the first pane from this config
+	}
+	w.prev, w.cur, w.seq = w.cur, fresh, 0
+	w.rotations++
 }
 
 // Query returns the windowed estimate for flowID: the sum over the live
@@ -108,16 +144,22 @@ func (w *Window) AddBatch(flowIDs [][]byte) {
 func (w *Window) Query(flowID []byte) uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.w.Query(flowID)
+	est := w.cur.Query(flowID)
+	if w.prev != nil {
+		est += w.prev.Query(flowID)
+	}
+	return est
 }
 
-// List returns the top-k flows over the live panes in descending
-// estimated size.
+// List returns the top-k flows over the live panes, their counts summed
+// across panes, in descending estimated size.
 func (w *Window) List() []Flow {
 	w.mu.Lock()
-	entries := w.w.Top()
-	w.mu.Unlock()
-	return entriesToFlows(entries)
+	defer w.mu.Unlock()
+	if w.prev == nil {
+		return FoldFlows(w.k, false, w.cur.List())
+	}
+	return FoldFlows(w.k, false, w.cur.List(), w.prev.List())
 }
 
 // All returns an iterator over the current windowed top-k. The snapshot
@@ -141,14 +183,10 @@ func (w *Window) Merge(other Summarizer) error {
 }
 
 // K returns the configured report size.
-func (w *Window) K() int { return w.w.K() }
+func (w *Window) K() int { return w.k }
 
 // WindowSize returns the nominal window coverage in items.
-func (w *Window) WindowSize() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.w.WindowSize()
-}
+func (w *Window) WindowSize() int { return 2 * w.pane }
 
 // Rotate forces a pane rotation immediately: counts older than the
 // current pane are discarded and a fresh pane opens, starting a new
@@ -157,7 +195,7 @@ func (w *Window) WindowSize() int {
 // arrival-driven boundary.
 func (w *Window) Rotate() {
 	w.mu.Lock()
-	w.w.Rotate()
+	w.rotate()
 	w.mu.Unlock()
 }
 
@@ -165,29 +203,29 @@ func (w *Window) Rotate() {
 func (w *Window) Rotations() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.w.Rotations()
+	return w.rotations
 }
 
 // MemoryBytes is the logical footprint of the live panes.
 func (w *Window) MemoryBytes() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.w.MemoryBytes()
+	total := w.cur.MemoryBytes()
+	if w.prev != nil {
+		total += w.prev.MemoryBytes()
+	}
+	return total
 }
 
-// Stats sums the live panes' ingest event counters; like the report, the
-// totals cover at most the last windowSize items.
+// Stats sums the live panes' ingest event counters. Retired panes take
+// their counters with them, so like the report the totals cover at most
+// the last windowSize items.
 func (w *Window) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.w.Stats()
-}
-
-// entriesToFlows converts a metrics report to the public Flow shape.
-func entriesToFlows(entries []metrics.Entry) []Flow {
-	out := make([]Flow, len(entries))
-	for i, e := range entries {
-		out[i] = Flow{ID: []byte(e.Key), Count: e.Count}
+	st := w.cur.Stats()
+	if w.prev != nil {
+		addStats(&st, w.prev.Stats())
 	}
-	return out
+	return st
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 func TestWindowValidation(t *testing.T) {
@@ -24,6 +26,9 @@ func TestWindowValidation(t *testing.T) {
 	if _, err := NewWindow(10, 100, WithConcurrency()); !errors.Is(err, ErrOptionConflict) {
 		t.Fatalf("WithConcurrency: got %v, want ErrOptionConflict", err)
 	}
+	if _, err := NewWindow(10, 100, WithWidth(0)); !errors.Is(err, ErrInvalidWidth) {
+		t.Fatalf("bad sketch option: got %v, want ErrInvalidWidth", err)
+	}
 }
 
 func TestWindowForgetsOldTraffic(t *testing.T) {
@@ -32,8 +37,8 @@ func TestWindowForgetsOldTraffic(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		w.Add(heavy)
 	}
-	if w.Query(heavy) == 0 {
-		t.Fatal("fresh elephant not visible")
+	if got := w.Query(heavy); got != 400 {
+		t.Fatalf("fresh elephant reports %d, want 400", got)
 	}
 	// Push two full windows of other traffic past it; the early elephant
 	// must be gone from the report and the estimate.
@@ -132,5 +137,127 @@ func TestWindowConcurrentUse(t *testing.T) {
 	// one full window.
 	if p := w.Stats().Packets; p == 0 || p > 2048 {
 		t.Fatalf("Packets = %d, want within (0, 2048]", p)
+	}
+}
+
+func TestWindowRotationCadence(t *testing.T) {
+	w := MustNewWindow(5, 100, WithSeed(3)) // pane = 50
+	for i := 0; i < 49; i++ {
+		w.Add([]byte("x"))
+	}
+	if w.Rotations() != 0 {
+		t.Fatalf("rotated after %d items", 49)
+	}
+	w.Add([]byte("x"))
+	if w.Rotations() != 1 {
+		t.Fatalf("no rotation at pane boundary")
+	}
+	if w.WindowSize() != 100 {
+		t.Errorf("WindowSize = %d want 100", w.WindowSize())
+	}
+	// A zero-weight arrival records nothing and does not age the window;
+	// a weighted one ages it by one item.
+	w.AddN([]byte("x"), 0)
+	w.AddN([]byte("x"), 7)
+	if got := w.Query([]byte("x")); got != 57 {
+		t.Errorf("Query = %d, want 57", got)
+	}
+	for i := 0; i < 48; i++ {
+		w.Add([]byte("y"))
+	}
+	if w.Rotations() != 1 {
+		t.Fatalf("zero-weight AddN advanced the pane")
+	}
+	w.Add([]byte("y"))
+	if w.Rotations() != 2 {
+		t.Fatalf("no rotation at the second pane boundary")
+	}
+}
+
+// TestWindowOldTrafficExpires: a flow seen only in the first pane is gone
+// at the earliest rotation that can drop it, not a full window later.
+func TestWindowOldTrafficExpires(t *testing.T) {
+	w := MustNewWindow(3, 1000, WithSeed(3), WithWidth(512)) // pane = 500
+	old := []byte("old")
+	for i := 0; i < 400; i++ {
+		w.Add(old)
+	}
+	if got := w.Query(old); got != 400 {
+		t.Fatalf("fresh query = %d want 400", got)
+	}
+	// 1100 more items end the first pane, fill the second and close it
+	// too, so the pane holding "old" leaves the window.
+	for i := 0; i < 1100; i++ {
+		w.Add(fmt.Appendf(nil, "fresh-%d", i%5))
+	}
+	if got := w.Query(old); got != 0 {
+		t.Errorf("expired flow still reports %d", got)
+	}
+	for _, f := range w.List() {
+		if bytes.Equal(f.ID, old) {
+			t.Error("expired flow still in the windowed top-k")
+		}
+	}
+}
+
+func TestWindowCountsSpanPanes(t *testing.T) {
+	w := MustNewWindow(3, 200, WithSeed(3)) // pane = 100
+	// A flow active across the rotation keeps its combined count.
+	for i := 0; i < 150; i++ {
+		w.Add([]byte("span"))
+	}
+	if got := w.Query([]byte("span")); got != 150 {
+		t.Errorf("spanning flow reports %d want 150", got)
+	}
+	top := w.List()
+	if len(top) == 0 || string(top[0].ID) != "span" || top[0].Count != 150 {
+		t.Errorf("List = %v", top)
+	}
+}
+
+func TestWindowTracksRecentElephants(t *testing.T) {
+	const pane = 5000
+	w := MustNewWindow(5, 2*pane, WithSeed(3), WithWidth(512))
+	rng := xrand.NewXorshift64Star(9)
+	// Phase 1: elephants A0..A4 dominate; phase 2: B0..B4 take over for
+	// two full panes.
+	for _, phase := range []string{"A", "B"} {
+		for i := 0; i < 2*pane; i++ {
+			if i%3 == 0 {
+				w.Add(fmt.Appendf(nil, "%s%d", phase, i%5))
+			} else {
+				w.Add(fmt.Appendf(nil, "m%d", rng.Uint64n(3000)))
+			}
+		}
+	}
+	top := w.List()
+	bs := 0
+	for _, f := range top {
+		switch f.ID[0] {
+		case 'B':
+			bs++
+		case 'A':
+			t.Errorf("stale elephant %s still reported", f.ID)
+		}
+	}
+	if bs < 4 {
+		t.Errorf("only %d/5 recent elephants reported: %v", bs, top)
+	}
+}
+
+// TestWindowListBeforeFirstRotation: with one live pane, List is that
+// pane's report, ordered like every other List (count descending, then ID
+// ascending) and cut at k.
+func TestWindowListBeforeFirstRotation(t *testing.T) {
+	w := MustNewWindow(3, 1000, WithSeed(3))
+	for _, id := range []string{"a", "a", "c", "b"} {
+		w.Add([]byte(id))
+	}
+	top := w.List()
+	if w.Rotations() != 0 || len(top) != 3 ||
+		string(top[0].ID) != "a" || top[0].Count != 2 ||
+		string(top[1].ID) != "b" || top[1].Count != 1 ||
+		string(top[2].ID) != "c" || top[2].Count != 1 {
+		t.Errorf("List = %v", top)
 	}
 }
